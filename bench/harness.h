@@ -49,10 +49,13 @@
 #pragma once
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -66,19 +69,46 @@
 
 namespace secddr::bench {
 
-/// Strict positive-decimal env parse (strtoul would wrap "-1" to
-/// ULONG_MAX and stop at the 'x' in "2x" without complaint); `fallback`
-/// on unset or malformed.
+/// All of `s` as a decimal T, or nothing: a leading '-' only for signed
+/// T, no whitespace, '+', trailing junk or overflow (strtoul would wrap
+/// "-1" to ULONG_MAX and stop at the 'x' in "2x" without complaint).
+template <typename T>
+std::optional<T> parse_decimal(const char* s) {
+  const char* end = s + std::strlen(s);
+  T v{};
+  const auto [stop, ec] = std::from_chars(s, end, v);
+  if (ec != std::errc{} || stop != end) return std::nullopt;
+  return v;
+}
+
+/// Positive-integer env knob for thread counts; `fallback` (with a
+/// warning) when unset or malformed.
 inline unsigned env_unsigned(const char* name, unsigned fallback) {
   const char* s = std::getenv(name);
   if (s == nullptr) return fallback;
-  char* end = nullptr;
-  const unsigned long v =
-      (*s >= '0' && *s <= '9') ? std::strtoul(s, &end, 10) : 0;
-  if (end && *end == '\0' && v >= 1) return static_cast<unsigned>(v);
+  const std::optional<unsigned> v = parse_decimal<unsigned>(s);
+  if (v && *v >= 1) return *v;
   std::fprintf(stderr, "%s='%s' is not a positive integer; using default\n",
                name, s);
   return fallback;
+}
+
+/// Integer env knob that sizes or configures a run: `fallback` when
+/// unset, else the value parse_decimal accepts in range for T. Anything
+/// else (empty, "abc", "12x", "-1" for an unsigned knob, overflow) names
+/// the knob and exits 2, so a typo never runs as a silent 0.
+template <typename T>
+T env_integer(const char* name, T fallback) {
+  const char* s = std::getenv(name);
+  if (s == nullptr) return fallback;
+  const std::optional<T> v = parse_decimal<T>(s);
+  if (!v) {
+    std::fprintf(stderr, "%s='%s' is not a decimal integer in [%s, %s]\n",
+                 name, s, std::to_string(std::numeric_limits<T>::min()).c_str(),
+                 std::to_string(std::numeric_limits<T>::max()).c_str());
+    std::exit(2);
+  }
+  return *v;
 }
 
 /// Which side of the jobs x mem_threads <= hardware clamp yields (see
@@ -138,11 +168,11 @@ struct BenchOptions {
 
   static BenchOptions from_env() {
     BenchOptions o;
-    if (const char* s = std::getenv("SECDDR_INSTR")) o.instructions = std::strtoull(s, nullptr, 10);
-    if (const char* s = std::getenv("SECDDR_WARMUP")) o.warmup = std::strtoull(s, nullptr, 10);
-    if (const char* s = std::getenv("SECDDR_CORES")) o.cores = static_cast<unsigned>(std::strtoul(s, nullptr, 10));
-    if (const char* s = std::getenv("SECDDR_CHANNELS")) o.channels = static_cast<unsigned>(std::strtoul(s, nullptr, 10));
-    if (const char* s = std::getenv("SECDDR_MEM_THREADS")) o.mem_threads = static_cast<unsigned>(std::strtoul(s, nullptr, 10));
+    o.instructions = env_integer("SECDDR_INSTR", o.instructions);
+    o.warmup = env_integer("SECDDR_WARMUP", o.warmup);
+    o.cores = env_integer("SECDDR_CORES", o.cores);
+    o.channels = env_integer("SECDDR_CHANNELS", o.channels);
+    o.mem_threads = env_integer("SECDDR_MEM_THREADS", o.mem_threads);
     if (const char* s = std::getenv("SECDDR_FILTER")) o.filter = s;
     // The channel selector needs a power-of-two count; fail loudly here
     // rather than routing addresses with a broken mask in Release builds
@@ -197,26 +227,20 @@ inline dram::PowerConfig thermal_config_from_env() {
   dram::PowerConfig p;
   const char* on = std::getenv("SECDDR_THERMAL");
   if (on == nullptr || std::strcmp(on, "0") == 0) return p;
-  const auto env_u64 = [](const char* name, std::uint64_t fallback) {
-    const char* s = std::getenv(name);
-    return s ? std::strtoull(s, nullptr, 10) : fallback;
-  };
-  const auto env_i64 = [](const char* name, std::int64_t fallback) {
-    const char* s = std::getenv(name);
-    return s ? std::strtoll(s, nullptr, 10) : fallback;
-  };
   p.enabled = true;
-  p.window_cycles = env_u64("SECDDR_THERMAL_WINDOW", p.window_cycles);
-  p.thermal.r_mk_per_w = static_cast<std::uint32_t>(
-      env_u64("SECDDR_THERMAL_R_MK", p.thermal.r_mk_per_w));
-  p.thermal.c_nj_per_k = env_u64("SECDDR_THERMAL_C_NJ", p.thermal.c_nj_per_k);
+  p.window_cycles = env_integer("SECDDR_THERMAL_WINDOW", p.window_cycles);
+  p.thermal.r_mk_per_w =
+      env_integer("SECDDR_THERMAL_R_MK", p.thermal.r_mk_per_w);
+  p.thermal.c_nj_per_k =
+      env_integer("SECDDR_THERMAL_C_NJ", p.thermal.c_nj_per_k);
   p.thermal.ambient_mc =
-      env_i64("SECDDR_THERMAL_AMBIENT_MC", p.thermal.ambient_mc);
-  p.throttle = env_u64("SECDDR_THERMAL_THROTTLE", 0) != 0;
-  p.trip_mc = env_i64("SECDDR_THERMAL_TRIP_MC", p.trip_mc);
-  p.release_mc = env_i64("SECDDR_THERMAL_RELEASE_MC", p.release_mc);
-  p.throttle_period = env_u64("SECDDR_THERMAL_PERIOD", p.throttle_period);
-  p.remap = env_u64("SECDDR_THERMAL_REMAP", 0) != 0;
+      env_integer("SECDDR_THERMAL_AMBIENT_MC", p.thermal.ambient_mc);
+  p.throttle = env_integer<std::uint64_t>("SECDDR_THERMAL_THROTTLE", 0) != 0;
+  p.trip_mc = env_integer("SECDDR_THERMAL_TRIP_MC", p.trip_mc);
+  p.release_mc = env_integer("SECDDR_THERMAL_RELEASE_MC", p.release_mc);
+  p.throttle_period =
+      env_integer("SECDDR_THERMAL_PERIOD", p.throttle_period);
+  p.remap = env_integer<std::uint64_t>("SECDDR_THERMAL_REMAP", 0) != 0;
   return p;
 }
 

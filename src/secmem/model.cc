@@ -15,8 +15,55 @@ SecurityEngine::SecurityEngine(const SecurityParams& params,
 
 void SecurityEngine::issue_dram(Addr addr, bool is_write, std::uint64_t tag) {
   // Preserve ordering: if anything is already queued, queue behind it.
+  // (So a direct enqueue happens only with no line tracked in
+  // deferred_lines_.)
   if (!issue_q_.empty() || !dram_.enqueue(addr, is_write, tag))
-    issue_q_.push_back({addr, is_write, tag});
+    defer({addr, is_write, tag});
+}
+
+void SecurityEngine::defer(const PendingIssue& p) {
+  issue_q_.push_back(p);
+  update_line(deferred_lines_[line_base(p.addr)], [&](DeferredLine& l) {
+    if (p.is_write) {
+      ++l.writes_pushed;
+      return;
+    }
+    ++deferred_reads_;
+    if (l.reads++ == 0) l.in_dram = dram_.has_queued_write_to_line(p.addr);
+    l.last_read_stamp = l.writes_pushed;
+  });
+}
+
+void SecurityEngine::pop_deferred() {
+  const PendingIssue& p = issue_q_.front();
+  const auto it = deferred_lines_.find(line_base(p.addr));
+  assert(it != deferred_lines_.end());
+  update_line(it->second, [&](DeferredLine& l) {
+    if (p.is_write) {
+      ++l.writes_popped;
+      l.in_dram = true;  // just enqueued (or merged into a queued write)
+    } else {
+      --l.reads;
+      --deferred_reads_;
+    }
+  });
+  if (it->second.reads == 0 &&
+      it->second.writes_popped == it->second.writes_pushed)
+    deferred_lines_.erase(it);
+  issue_q_.pop_front();
+}
+
+void SecurityEngine::on_write_left_dram(Addr addr) {
+  // A write leaves the DRAM queue only by issuing, and issues and merges
+  // both complete, so draining that completion is where in_dram can turn
+  // false. ready_bound() returns before reading in_dram while the
+  // completion is undrained.
+  if (deferred_reads_ == 0) return;
+  const auto it = deferred_lines_.find(line_base(addr));
+  if (it == deferred_lines_.end() || it->second.reads == 0) return;
+  update_line(it->second, [&](DeferredLine& l) {
+    l.in_dram = dram_.has_queued_write_to_line(addr);
+  });
 }
 
 void SecurityEngine::writeback_victim(const SetAssocCache::Result& victim) {
@@ -267,7 +314,7 @@ void SecurityEngine::tick(Cycle now) {
   while (!issue_q_.empty()) {
     const auto& p = issue_q_.front();
     if (!dram_.enqueue(p.addr, p.is_write, p.tag)) break;
-    issue_q_.pop_front();
+    pop_deferred();
   }
 
   for (const auto& c : dram_.pending_completions()) {
@@ -287,7 +334,8 @@ void SecurityEngine::tick(Cycle now) {
         break;
       case TagKind::kDataWrite:
       case TagKind::kMetaWriteback:
-        break;  // posted
+        on_write_left_dram(c.addr);  // posted: no transaction to finish
+        break;
     }
   }
   dram_.clear_completions();
@@ -327,40 +375,19 @@ Cycle SecurityEngine::ready_bound(Cycle now) const {
   const Cycle inflight = dram_.inflight_read_finish();
   if (inflight != kNoEvent)
     bound = now + dram_.core_cycles_until_mem(inflight);
-  bool deferred_read = false;
-  for (const auto& p : issue_q_)
-    if (!p.is_write) {
-      deferred_read = true;
-      break;
-    }
-  if (dram_.queued_reads() > 0 || deferred_read) {
+  if (dram_.queued_reads() > 0 || deferred_reads_ > 0) {
     // A queued read issues no earlier than the current memory cycle and
     // its data arrives tCL later at best (bursts only push it out); a
     // deferred read enqueues at the next tick at the earliest, with the
     // same floor — unless write data can forward it, which completes at
     // enqueue and surfaces one tick later (>= now + 2: enqueue happens
-    // inside tick now+1 at the earliest).
-    bool forward = false;
-    for (const auto& p : issue_q_) {
-      if (p.is_write) continue;
-      if (dram_.has_queued_write_to_line(p.addr)) {
-        forward = true;
-        break;
-      }
-      // A deferred write ahead of the read lands in the queue first and
-      // then forwards it (same line, FIFO retry order).
-      for (const auto& w : issue_q_) {
-        if (&w == &p) break;
-        if (w.is_write && line_base(w.addr) == line_base(p.addr)) {
-          forward = true;
-          break;
-        }
-      }
-      if (forward) break;
-    }
+    // inside tick now+1 at the earliest). A deferred write ahead of the
+    // read lands in the queue first and then forwards it (same line,
+    // FIFO retry order).
     const Cycle column = now + dram_.core_cycles_until_mem(
                                    dram_.memory_cycle() + dram_.timings().tCL);
-    bound = std::min(bound, forward ? std::min(column, now + 2) : column);
+    bound = std::min(bound, forwardable_lines_ > 0 ? std::min(column, now + 2)
+                                                   : column);
   }
   return bound;
 }
@@ -466,14 +493,19 @@ void SecurityEngine::load(serial::Source& s) {
     }
   }
 
+  // Replaying the pushes rebuilds the derived per-line forwarding state;
+  // the owner loads the DRAM system first, so in_dram reads its queues.
   issue_q_.clear();
+  deferred_lines_.clear();
+  deferred_reads_ = 0;
+  forwardable_lines_ = 0;
   const std::size_t nissue = s.count(17);
   for (std::size_t i = 0; i < nissue; ++i) {
     PendingIssue p;
     p.addr = s.u64();
     p.is_write = s.b();
     p.tag = s.u64();
-    issue_q_.push_back(p);
+    defer(p);
   }
   ready_.clear();
   const std::size_t nready = s.count(16);

@@ -117,6 +117,12 @@ class SecurityEngine {
   /// kNoEvent when no read exists anywhere in the pipeline. Metadata
   /// chains (arrival -> writeback -> forward) cannot beat these bounds:
   /// an arrival at cycle t only issues new DRAM traffic at t >= bound.
+  ///
+  /// O(1): forwarding is possible when some deferred read has a write
+  /// to its line queued in DRAM or deferred ahead of it. That predicate
+  /// is kept per line (see DeferredLine) as issue_q_ is pushed and
+  /// popped and as DRAM write completions drain, and load() rebuilds it
+  /// by replaying the restored queue; it is never rescanned here.
   Cycle ready_bound(Cycle now) const;
 
   /// Ready reads since the last drain (caller clears).
@@ -136,6 +142,15 @@ class SecurityEngine {
   std::size_t outstanding() const {
     return txns_.size() + issue_q_.size() + dram_.pending();
   }
+
+  /// A DRAM transaction waiting for queue space, retried in FIFO order.
+  struct PendingIssue {
+    Addr addr;
+    bool is_write;
+    std::uint64_t tag;
+  };
+  /// The deferred-issue queue, front first (read-only; for inspection).
+  const std::deque<PendingIssue>& deferred_issues() const { return issue_q_; }
 
   /// Checkpoint hooks: metadata cache, open transactions, outstanding
   /// metadata fetches, the deferred-issue queue, undrained ready reads,
@@ -181,6 +196,11 @@ class SecurityEngine {
   }
 
   void issue_dram(Addr addr, bool is_write, std::uint64_t tag);
+  /// issue_q_ push / front pop, keeping the per-line state in step.
+  void defer(const PendingIssue& p);
+  void pop_deferred();
+  /// A DRAM write to `addr`'s line issued or merged: re-reads in_dram.
+  void on_write_left_dram(Addr addr);
   void request_meta_line(Txn& txn, std::uint64_t txn_id, Addr line, Role role,
                          Cycle now);
   void gather_read_needs(Txn& txn, std::uint64_t txn_id, Cycle now);
@@ -201,12 +221,40 @@ class SecurityEngine {
   std::uint64_t next_txn_id_ = 1;
   std::unordered_map<Addr, MetaFetch> meta_fetches_;
 
-  struct PendingIssue {
-    Addr addr;
-    bool is_write;
-    std::uint64_t tag;
-  };
   std::deque<PendingIssue> issue_q_;
+
+  /// Forwarding state of one line with entries in issue_q_ (derived from
+  /// issue_q_ and the DRAM write queue, so never serialized). A deferred
+  /// read to the line can be write-forwarded when
+  ///   (a) the DRAM write queue holds a write to the line (`in_dram`), or
+  ///   (b) a deferred write to the line is ahead of it in issue_q_.
+  /// Same-line entries leave issue_q_ in push order, so the newest read
+  /// has a write ahead iff any read does: (b) is
+  /// writes_popped < last_read_stamp.
+  struct DeferredLine {
+    std::uint64_t reads = 0;           ///< deferred reads to the line
+    std::uint64_t writes_pushed = 0;   ///< deferred writes ever pushed
+    std::uint64_t writes_popped = 0;   ///< ... and popped into DRAM
+    std::uint64_t last_read_stamp = 0; ///< writes_pushed at the newest read
+    /// Current whenever reads > 0 and no DRAM completion is undrained: read
+    /// at the first read, set by a popped write, re-read as writes drain.
+    bool in_dram = false;
+
+    bool forwardable() const {
+      return reads > 0 && (in_dram || writes_popped < last_read_stamp);
+    }
+  };
+  /// Applies `change` to the line's state, keeping forwardable_lines_.
+  template <typename F>
+  void update_line(DeferredLine& line, F&& change) {
+    const bool was = line.forwardable();
+    change(line);
+    if (line.forwardable() != was)
+      was ? --forwardable_lines_ : ++forwardable_lines_;
+  }
+  std::unordered_map<Addr, DeferredLine> deferred_lines_;  ///< by line_base
+  std::size_t deferred_reads_ = 0;     ///< reads in issue_q_
+  std::size_t forwardable_lines_ = 0;  ///< lines with forwardable() true
 
   std::vector<ReadReady> ready_;
   EngineStats stats_;

@@ -2,6 +2,12 @@
 // per-configuration traffic/latency semantics of the SecurityEngine.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
+#include <set>
+
+#include "common/random.h"
+#include "common/serial.h"
 #include "dram/system.h"
 #include "secmem/layout.h"
 #include "secmem/metadata_cache.h"
@@ -319,6 +325,162 @@ TEST(Engine, SharedFetchesAreDeduplicated) {
   EXPECT_EQ(ready.size(), 2u);
   EXPECT_EQ(rig.engine.stats().counter_fetches, 1u)
       << "concurrent misses on one counter line must share the fetch";
+}
+
+// ---------------------------------------------------------------- horizon
+
+// The forwarding paths the reference scan found at one query.
+struct ForwardPaths {
+  std::set<Addr> read_lines;    // lines with a deferred read
+  std::set<Addr> queued_write;  // ... of which the DRAM queues a write
+  bool write_ahead = false;     // a deferred write precedes a same-line read
+};
+
+// The ready_bound the engine computed before it kept write-forwarding
+// state per line: every call rescans the deferred-issue queue, checking
+// each deferred read against the DRAM write FIFO and against every
+// earlier queue entry (quadratic in the queue length). Kept here as the
+// oracle for the engine's O(1) answer.
+Cycle scan_ready_bound(const SecurityEngine& engine,
+                       const dram::DramSystem& dram, Cycle now,
+                       ForwardPaths& paths) {
+  paths = {};
+  if (dram.has_undrained_completions()) return now + 1;
+  Cycle bound = kNoEvent;
+  const Cycle inflight = dram.inflight_read_finish();
+  if (inflight != kNoEvent)
+    bound = now + dram.core_cycles_until_mem(inflight);
+  const auto& q = engine.deferred_issues();
+  for (auto p = q.begin(); p != q.end(); ++p) {
+    if (p->is_write) continue;
+    paths.read_lines.insert(line_base(p->addr));
+    if (dram.has_queued_write_to_line(p->addr))
+      paths.queued_write.insert(line_base(p->addr));
+    for (auto w = q.begin(); w != p; ++w)
+      if (w->is_write && line_base(w->addr) == line_base(p->addr)) {
+        paths.write_ahead = true;
+        break;
+      }
+  }
+  if (dram.queued_reads() > 0 || !paths.read_lines.empty()) {
+    const bool forward = !paths.queued_write.empty() || paths.write_ahead;
+    const Cycle column = now + dram.core_cycles_until_mem(
+                                   dram.memory_cycle() + dram.timings().tCL);
+    bound = std::min(bound, forward ? std::min(column, now + 2) : column);
+  }
+  return bound;
+}
+
+// A seeded tree64+ctr stream of up to three requests a cycle keeps the
+// deferred-issue queue long. Writes and 1% of reads go to a 64-line hot
+// set; the other reads go to 4096 lines that are never written and keep
+// the DRAM read queue full. Few deferred reads can forward at once, so a
+// stale per-line flag shows in the bound instead of hiding behind another
+// forwardable line. The engine's ready_bound must equal the scan after
+// every tick and every batch of requests, including after a mid-run save
+// and load into fresh objects (load() rebuilds the per-line state).
+TEST(Horizon, ReadyBoundMatchesQueueScan) {
+  const SecurityParams params = SecurityParams::baseline_tree_ctr();
+  auto rig = std::make_unique<Rig>(params);
+  Xoshiro256 rng(12);
+  // Rows of 16 (hot) or 64 (cold) lines, 1MB apart.
+  const auto rows = [](Addr base, Addr n_rows, Addr per_row) {
+    std::vector<Addr> lines;
+    for (Addr i = 0; i < n_rows * per_row; ++i)
+      lines.push_back(base + (i / per_row) * (Addr{1} << 20) +
+                      (i % per_row) * kLineSize);
+    return lines;
+  };
+  const std::vector<Addr> hot = rows(0, 4, 16);
+  const std::vector<Addr> cold = rows(Addr{256} << 20, 64, 64);
+  const auto pick = [&](const std::vector<Addr>& lines) {
+    return lines[rng.next_below(lines.size())];
+  };
+
+  // Write merges so far: writes complete once per column or merge, and
+  // the write columns are all columns minus the reads that left the
+  // read queue.
+  const auto merges = [&] {
+    const dram::ControllerStats& s = rig->dram.stats();
+    return s.writes_completed -
+           (s.row_hits + s.row_misses -
+            (s.reads_enqueued - rig->dram.queued_reads()));
+  };
+
+  std::size_t max_deferred = 0;
+  std::uint64_t queued_write_hits = 0, write_ahead_hits = 0;
+  std::uint64_t cleared = 0, deferred_merges = 0;
+  std::set<Addr> last_queued;
+  ForwardPaths paths;
+  const auto check = [&](const char* where) {
+    const Cycle want = scan_ready_bound(rig->engine, rig->dram, rig->now,
+                                        paths);
+    const Cycle got = rig->engine.ready_bound(rig->now);
+    if (got != want) {
+      ADD_FAILURE() << where << " at cycle " << rig->now << ": ready_bound "
+                    << got << ", scan " << want;
+      return false;
+    }
+    if (rig->dram.has_undrained_completions()) return true;
+    queued_write_hits += !paths.queued_write.empty();
+    write_ahead_hits += paths.write_ahead;
+    // A line still read-deferred whose queued write has gone: it issued.
+    for (const Addr line : last_queued)
+      cleared += paths.read_lines.count(line) &&
+                 !paths.queued_write.count(line);
+    last_queued = paths.queued_write;
+    return true;
+  };
+
+  constexpr Cycle kStreamCycles = 30000;
+  constexpr Cycle kSaveAt = kStreamCycles / 2;
+  bool restored = false;
+  std::uint64_t tag = 0;
+  while (rig->now < kStreamCycles || rig->engine.outstanding() > 0) {
+    ASSERT_LT(rig->now, 1'000'000u) << "stream never drained";
+    if (rig->now == kSaveAt) {
+      serial::Sink s;
+      rig->dram.save(s);
+      rig->engine.save(s);
+      auto fresh = std::make_unique<Rig>(params);
+      serial::Source src(s.data());
+      fresh->dram.load(src);
+      fresh->engine.load(src);
+      fresh->now = rig->now;
+      ASSERT_FALSE(fresh->engine.deferred_issues().empty());
+      rig = std::move(fresh);
+      restored = true;
+      if (!check("after load")) return;
+    }
+    const bool deferred = !rig->engine.deferred_issues().empty();
+    const std::uint64_t merges_before = merges();
+    ++rig->now;
+    rig->dram.tick_core_cycle();
+    rig->engine.tick(rig->now);
+    rig->engine.ready().clear();
+    if (deferred) deferred_merges += merges() - merges_before;
+    if (!check("after tick")) return;
+    if (rig->now < kStreamCycles &&
+        rig->engine.deferred_issues().size() < 96) {
+      for (auto n = rng.next_below(4); n > 0; --n) {
+        if (rng.next_below(2) == 0)
+          rig->engine.start_write(pick(hot), rig->now);
+        else
+          rig->engine.start_read(
+              pick(rng.next_below(100) == 0 ? hot : cold), ++tag, rig->now);
+      }
+      if (!check("after requests")) return;
+    }
+    max_deferred = std::max(max_deferred, rig->engine.deferred_issues().size());
+  }
+
+  // The stream exercised every path the per-line state tracks.
+  EXPECT_TRUE(restored);
+  EXPECT_GT(max_deferred, 64u);
+  EXPECT_GT(queued_write_hits, 0u) << "forward via a DRAM-queued write";
+  EXPECT_GT(write_ahead_hits, 0u) << "forward via a deferred write ahead";
+  EXPECT_GT(cleared, 0u) << "a write issue ended a line's forwarding";
+  EXPECT_GT(deferred_merges, 0u) << "a retried write merged in DRAM";
 }
 
 }  // namespace

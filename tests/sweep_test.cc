@@ -145,6 +145,82 @@ TEST(ThreadKnobs, EnvUnsignedRejectsMalformedValues) {
   EXPECT_EQ(env_unsigned("SECDDR_TEST_KNOB", 7u), 7u);
 }
 
+// Run-sizing knobs are strict: a malformed value exits 2 naming the
+// knob instead of running as 0 (SECDDR_INSTR=abc used to print an
+// all-zero table and exit 0).
+TEST(StrictKnobsDeathTest, MalformedRunKnobsExit2) {
+  for (const char* knob : {"SECDDR_INSTR", "SECDDR_WARMUP", "SECDDR_CORES",
+                           "SECDDR_CHANNELS", "SECDDR_MEM_THREADS"}) {
+    for (const char* bad : {"abc", "12x", "-1", "", " 4", "+4"}) {
+      SCOPED_TRACE(std::string(knob) + "='" + bad + "'");
+      ScopedEnv e(knob, bad);
+      EXPECT_EXIT(BenchOptions::from_env(), ::testing::ExitedWithCode(2),
+                  knob);
+    }
+  }
+  // Out of range for the field: `cores` is 32-bit.
+  ScopedEnv e("SECDDR_CORES", "4294967296");
+  EXPECT_EXIT(BenchOptions::from_env(), ::testing::ExitedWithCode(2),
+              "SECDDR_CORES");
+}
+
+TEST(StrictKnobsDeathTest, MalformedThermalKnobsExit2) {
+  ScopedEnv on("SECDDR_THERMAL", "1");
+  for (const char* knob :
+       {"SECDDR_THERMAL_WINDOW", "SECDDR_THERMAL_R_MK", "SECDDR_THERMAL_C_NJ",
+        "SECDDR_THERMAL_THROTTLE", "SECDDR_THERMAL_PERIOD",
+        "SECDDR_THERMAL_REMAP"}) {
+    for (const char* bad : {"abc", "12x", "-1", ""}) {
+      SCOPED_TRACE(std::string(knob) + "='" + bad + "'");
+      ScopedEnv e(knob, bad);
+      EXPECT_EXIT(thermal_config_from_env(), ::testing::ExitedWithCode(2),
+                  knob);
+    }
+  }
+  // Signed knobs take a minus sign but nothing else.
+  for (const char* knob : {"SECDDR_THERMAL_AMBIENT_MC",
+                           "SECDDR_THERMAL_TRIP_MC",
+                           "SECDDR_THERMAL_RELEASE_MC"}) {
+    for (const char* bad : {"abc", "12x", "--1", ""}) {
+      SCOPED_TRACE(std::string(knob) + "='" + bad + "'");
+      ScopedEnv e(knob, bad);
+      EXPECT_EXIT(thermal_config_from_env(), ::testing::ExitedWithCode(2),
+                  knob);
+    }
+  }
+  // r_mk_per_w is 32-bit.
+  ScopedEnv e("SECDDR_THERMAL_R_MK", "4294967296");
+  EXPECT_EXIT(thermal_config_from_env(), ::testing::ExitedWithCode(2),
+              "SECDDR_THERMAL_R_MK");
+}
+
+TEST(StrictKnobs, ValidValuesParse) {
+  ScopedEnv i("SECDDR_INSTR", "2000");
+  ScopedEnv w("SECDDR_WARMUP", "0");
+  ScopedEnv c("SECDDR_CORES", "2");
+  ScopedEnv ch("SECDDR_CHANNELS", "4");
+  ScopedEnv m("SECDDR_MEM_THREADS", "1");
+  const BenchOptions o = BenchOptions::from_env();
+  EXPECT_EQ(o.instructions, 2000u);
+  EXPECT_EQ(o.warmup, 0u);
+  EXPECT_EQ(o.cores, 2u);
+  EXPECT_EQ(o.channels, 4u);
+  EXPECT_EQ(o.mem_threads, 1u);
+
+  ScopedEnv on("SECDDR_THERMAL", "1");
+  ScopedEnv win("SECDDR_THERMAL_WINDOW", "2048");
+  ScopedEnv r("SECDDR_THERMAL_R_MK", "4294967295");
+  ScopedEnv amb("SECDDR_THERMAL_AMBIENT_MC", "-5000");
+  ScopedEnv thr("SECDDR_THERMAL_THROTTLE", "1");
+  const dram::PowerConfig p = thermal_config_from_env();
+  EXPECT_TRUE(p.enabled);
+  EXPECT_EQ(p.window_cycles, 2048u);
+  EXPECT_EQ(p.thermal.r_mk_per_w, 4294967295u);
+  EXPECT_EQ(p.thermal.ambient_mc, -5000);
+  EXPECT_TRUE(p.throttle);
+  EXPECT_FALSE(p.remap);  // unset keeps the default
+}
+
 TEST(ThreadKnobs, PriorityDefaultsFollowChannelCount) {
   ScopedEnv p("SECDDR_THREAD_PRIORITY", nullptr);
   ScopedEnv c("SECDDR_CHANNELS", nullptr);
