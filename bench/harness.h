@@ -5,12 +5,6 @@
 //   SECDDR_WARMUP       warmup instructions per core   (default 75000)
 //   SECDDR_CORES        simulated cores                (default 4, Table I)
 //   SECDDR_CHANNELS     DDR channels (power of two; default 1, Table I)
-//   SECDDR_MEM_THREADS  per-channel memory tick threads inside each
-//                       sim::System (default 1 = serial; results are
-//                       bit-identical either way)
-//   SECDDR_THREAD_PRIORITY  jobs|mem: which side of the
-//                       jobs x mem_threads <= hardware clamp yields
-//                       (default: mem when SECDDR_CHANNELS > 1)
 //   SECDDR_FILTER       comma-free substring filter on workload names
 //   SECDDR_TRACE_DIR    directory of recorded trace files (see
 //                       trace_file_path); when every core of a workload
@@ -30,36 +24,23 @@
 //   SECDDR_THERMAL_PERIOD     throttled issue period, cycles (4)
 //   SECDDR_THERMAL_REMAP      1 enables temperature-aware bank remapping
 //
-// Thread-knob interplay: SECDDR_JOBS parallelizes across sweep points
-// (one System per worker) while SECDDR_MEM_THREADS parallelizes the
-// channels inside each System, so a sweep can run jobs x mem_threads
-// threads at once. The jobs x mem_threads <= hardware clamp picks a
-// side via SECDDR_THREAD_PRIORITY:
-//   jobs  clamp mem_threads to the share the sweep workers leave over
-//         (whole independent Systems scale embarrassingly);
-//   mem   clamp sweep jobs instead, keeping the in-System channel
-//         threads (epoch-decoupled ticking makes them a real scaling
-//         axis, and memory-bound points don't fill a machine with
-//         Systems anyway).
-// Default: mem when SECDDR_CHANNELS > 1 (there are channels to
-// decouple), jobs otherwise.
+// Parallelism is across Systems only: SECDDR_JOBS (sweep.h) runs one
+// System per sweep worker, and every System ticks its channels serially.
 //
 // Every binary prints an aligned text table with the same rows/series as
 // the paper's figure, plus the paper's headline numbers for comparison.
 #pragma once
 
 #include <algorithm>
-#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
-#include <thread>
 #include <vector>
 
+#include "common/env.h"
 #include "fleet/checkpoint.h"
 #include "secmem/params.h"
 #include "sim/stream_trace.h"
@@ -68,18 +49,6 @@
 #include "workloads/workload.h"
 
 namespace secddr::bench {
-
-/// All of `s` as a decimal T, or nothing: a leading '-' only for signed
-/// T, no whitespace, '+', trailing junk or overflow (strtoul would wrap
-/// "-1" to ULONG_MAX and stop at the 'x' in "2x" without complaint).
-template <typename T>
-std::optional<T> parse_decimal(const char* s) {
-  const char* end = s + std::strlen(s);
-  T v{};
-  const auto [stop, ec] = std::from_chars(s, end, v);
-  if (ec != std::errc{} || stop != end) return std::nullopt;
-  return v;
-}
 
 /// Positive-integer env knob for thread counts; `fallback` (with a
 /// warning) when unset or malformed.
@@ -93,77 +62,11 @@ inline unsigned env_unsigned(const char* name, unsigned fallback) {
   return fallback;
 }
 
-/// Integer env knob that sizes or configures a run: `fallback` when
-/// unset, else the value parse_decimal accepts in range for T. Anything
-/// else (empty, "abc", "12x", "-1" for an unsigned knob, overflow) names
-/// the knob and exits 2, so a typo never runs as a silent 0.
-template <typename T>
-T env_integer(const char* name, T fallback) {
-  const char* s = std::getenv(name);
-  if (s == nullptr) return fallback;
-  const std::optional<T> v = parse_decimal<T>(s);
-  if (!v) {
-    std::fprintf(stderr, "%s='%s' is not a decimal integer in [%s, %s]\n",
-                 name, s, std::to_string(std::numeric_limits<T>::min()).c_str(),
-                 std::to_string(std::numeric_limits<T>::max()).c_str());
-    std::exit(2);
-  }
-  return *v;
-}
-
-/// Which side of the jobs x mem_threads <= hardware clamp yields (see
-/// the header comment).
-enum class ThreadPriority { kJobs, kMem };
-
-inline ThreadPriority thread_priority() {
-  if (const char* s = std::getenv("SECDDR_THREAD_PRIORITY")) {
-    if (std::strcmp(s, "jobs") == 0) return ThreadPriority::kJobs;
-    if (std::strcmp(s, "mem") == 0) return ThreadPriority::kMem;
-    std::fprintf(stderr,
-                 "SECDDR_THREAD_PRIORITY='%s' is not 'jobs' or 'mem'; "
-                 "using default\n",
-                 s);
-  }
-  return env_unsigned("SECDDR_CHANNELS", 1) > 1 ? ThreadPriority::kMem
-                                                : ThreadPriority::kJobs;
-}
-
-/// Per-System channel tick threads actually usable: the backend clamps
-/// SECDDR_MEM_THREADS to the channel count, so that is what a sweep job
-/// costs in threads.
-inline unsigned mem_threads_requested() {
-  return std::min(env_unsigned("SECDDR_MEM_THREADS", 1),
-                  env_unsigned("SECDDR_CHANNELS", 1));
-}
-
-/// Worker count for bench sweeps: SECDDR_JOBS if set, else hardware
-/// concurrency — then clamped so jobs x mem_threads fits the hardware
-/// when the mem side has priority. Lives here so the from_env()
-/// mem_threads clamp below and the sweep runner share one parse.
-inline unsigned sweep_jobs() {
-  const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-  unsigned jobs = env_unsigned("SECDDR_JOBS", hw);
-  const unsigned mt = mem_threads_requested();
-  if (thread_priority() == ThreadPriority::kMem && mt > 1) {
-    const unsigned cap = std::max(1u, hw / mt);
-    if (jobs > cap) {
-      std::fprintf(stderr,
-                   "SECDDR_JOBS=%u clamped to %u: mem_threads=%u has "
-                   "priority (SECDDR_THREAD_PRIORITY) and jobs x "
-                   "mem_threads exceeds hardware concurrency (%u)\n",
-                   jobs, cap, mt, hw);
-      jobs = cap;
-    }
-  }
-  return jobs;
-}
-
 struct BenchOptions {
   std::uint64_t instructions = 150000;
   std::uint64_t warmup = 75000;
   unsigned cores = 4;
   unsigned channels = 1;
-  unsigned mem_threads = 1;
   std::string filter;
 
   static BenchOptions from_env() {
@@ -172,7 +75,6 @@ struct BenchOptions {
     o.warmup = env_integer("SECDDR_WARMUP", o.warmup);
     o.cores = env_integer("SECDDR_CORES", o.cores);
     o.channels = env_integer("SECDDR_CHANNELS", o.channels);
-    o.mem_threads = env_integer("SECDDR_MEM_THREADS", o.mem_threads);
     if (const char* s = std::getenv("SECDDR_FILTER")) o.filter = s;
     // The channel selector needs a power-of-two count; fail loudly here
     // rather than routing addresses with a broken mask in Release builds
@@ -181,36 +83,6 @@ struct BenchOptions {
       std::fprintf(stderr, "SECDDR_CHANNELS=%u is not a power of two\n",
                    o.channels);
       std::exit(2);
-    }
-    if (o.mem_threads == 0) o.mem_threads = 1;
-    // Oversubscription guard: sweep workers each build their own System,
-    // so jobs x mem_threads barrier threads would thrash the machine.
-    // Which side yields is the explicit SECDDR_THREAD_PRIORITY policy:
-    // under mem priority sweep_jobs() clamps itself and mem_threads is
-    // bounded only by the hardware; under jobs priority (and an explicit
-    // SECDDR_JOBS) mem_threads is clamped to the share the sweep
-    // workers leave over. Results are unaffected either way (threaded
-    // ticking is bit-identical).
-    const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-    if (thread_priority() == ThreadPriority::kMem) {
-      if (o.mem_threads > hw) {
-        std::fprintf(stderr,
-                     "SECDDR_MEM_THREADS=%u clamped to hardware "
-                     "concurrency %u\n",
-                     o.mem_threads, hw);
-        o.mem_threads = hw;
-      }
-      return o;
-    }
-    const unsigned jobs =
-        std::getenv("SECDDR_JOBS") != nullptr ? sweep_jobs() : 1;
-    const unsigned max_mem_threads = std::max(1u, hw / std::max(1u, jobs));
-    if (o.mem_threads > max_mem_threads) {
-      std::fprintf(stderr,
-                   "SECDDR_MEM_THREADS=%u clamped to %u: SECDDR_JOBS=%u x "
-                   "mem_threads exceeds hardware concurrency (%u)\n",
-                   o.mem_threads, max_mem_threads, jobs, hw);
-      o.mem_threads = max_mem_threads;
     }
     return o;
   }
@@ -303,7 +175,6 @@ inline sim::SystemConfig make_system_config(const BenchOptions& opt,
   cfg.timings = timings;
   cfg.data_bytes = data_bytes_for(opt.cores);
   cfg.geometry.channels = opt.channels;
-  cfg.mem_threads = opt.mem_threads;
   cfg.power = thermal_config_from_env();
   // Total capacity scales with channels, so shrink the per-channel rows
   // first, then grow until the 2:1 headroom holds again.
@@ -322,10 +193,10 @@ inline sim::SystemConfig make_system_config(const BenchOptions& opt,
 /// state of each (workload, config) pair the first time it runs and
 /// restores it on every later run of the same pair, skipping the warmup
 /// simulation entirely. Keyed by workload name + System::config_hash(),
-/// so sweep points that differ only in loop mode or thread count share
-/// one warm image; checkpoint/restore is bit-identical to uninterrupted
-/// execution, so measured stats match a cold run bit-for-bit (the fleet
-/// test battery asserts this). An unusable file (corrupt, or left by a
+/// so sweep points that differ only in loop mode share one warm image;
+/// checkpoint/restore is bit-identical to uninterrupted execution, so
+/// measured stats match a cold run bit-for-bit (the fleet test battery
+/// asserts this). An unusable file (corrupt, or left by a
 /// different config) is discarded and re-recorded from a cold run.
 inline sim::RunResult run_workload(const workloads::WorkloadDesc& desc,
                                    const secmem::SecurityParams& sec,

@@ -10,12 +10,6 @@
 // single-command-bus saturation (total IPC at every multi-channel point
 // must not fall below the 1-channel baseline; exit 1 otherwise).
 //
-// A threaded-sweep section re-runs the fig6 sweep at 4 channels, serial
-// vs fully threaded (mem_threads = channels, sweep jobs pinned to 1 so
-// in-System threading is the only parallelism), with a bit-identity exit
-// gate; epoch telemetry (mean window width = core cycles per barrier
-// crossing) quantifies the epoch-decoupled backend.
-//
 // Every section's numbers are also written to a machine-checkable JSON
 // file (BENCH_speed.json by default) so the perf trajectory is diffable
 // per PR.
@@ -25,15 +19,13 @@
 //   SECDDR_SPEED_PER_POINT=1      per-sweep-point wall/cycle lines on stderr
 //   SECDDR_SPEED_JSON=path        JSON output path ('' disables;
 //                                 default BENCH_speed.json)
-//   SECDDR_SPEED_GATE_THREADS=1   exit 1 unless the threaded 4-channel
-//                                 sweep is at least as fast as serial
-//                                 (opt-in: meaningless on 1-core hosts)
 #include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/table.h"
@@ -52,16 +44,13 @@ struct ModeResult {
   double total_ipc = 0.0;              ///< checksum across modes
   std::uint64_t epochs = 0;        ///< backend epochs dispatched (measured)
   std::uint64_t epoch_cycles = 0;  ///< core cycles those epochs covered
-  std::uint64_t barrier_crossings = 0;  ///< epochs that woke the workers
 };
 
-/// Runs the sweep in one loop mode. `mem_threads` != 0 overrides the
-/// per-System channel-thread count, `jobs` != 0 the sweep worker count.
+/// Runs the sweep in one loop mode.
 ModeResult run_mode(const std::vector<bench::SweepPoint>& points,
-                    const BenchOptions& opt, bool event_driven,
-                    unsigned mem_threads = 0, unsigned jobs = 0) {
+                    const BenchOptions& opt, bool event_driven) {
   const bool per_point = std::getenv("SECDDR_SPEED_PER_POINT") != nullptr;
-  std::atomic<std::uint64_t> epochs{0}, epoch_cycles{0}, crossings{0};
+  std::atomic<std::uint64_t> epochs{0}, epoch_cycles{0};
   const auto t0 = std::chrono::steady_clock::now();
   const auto results = bench::sweep_map(
       points.size(),
@@ -74,15 +63,12 @@ ModeResult run_mode(const std::vector<bench::SweepPoint>& points,
         sim::SystemConfig cfg = bench::make_system_config(
             opt, points[i].security, points[i].timings);
         cfg.event_driven = event_driven;
-        if (mem_threads != 0) cfg.mem_threads = mem_threads;
         sim::System sys(cfg, ptrs);
         auto r = sys.run(opt.instructions, 4'000'000'000ull, opt.warmup);
         epochs.fetch_add(sys.backend().dispatch_epochs(),
                          std::memory_order_relaxed);
         epoch_cycles.fetch_add(sys.backend().dispatch_cycles(),
                                std::memory_order_relaxed);
-        crossings.fetch_add(sys.backend().barrier_crossings(),
-                            std::memory_order_relaxed);
         if (per_point) {
           const double dt = std::chrono::duration<double>(
               std::chrono::steady_clock::now() - p0).count();
@@ -91,8 +77,7 @@ ModeResult run_mode(const std::vector<bench::SweepPoint>& points,
                        (unsigned long long)r.cycles);
         }
         return r;
-      },
-      jobs);
+      });
   const auto t1 = std::chrono::steady_clock::now();
   ModeResult m;
   m.wall_s = std::chrono::duration<double>(t1 - t0).count();
@@ -102,7 +87,6 @@ ModeResult run_mode(const std::vector<bench::SweepPoint>& points,
   }
   m.epochs = epochs.load();
   m.epoch_cycles = epoch_cycles.load();
-  m.barrier_crossings = crossings.load();
   return m;
 }
 
@@ -120,8 +104,8 @@ double mean_window(const ModeResult& m) {
                       : 0.0;
 }
 
-/// Minimal JSON assembly: every value this bench emits is a number, a
-/// bool, or a C-identifier-ish name, so string building suffices.
+/// Minimal JSON assembly: every value this bench emits is a number or a
+/// C-identifier-ish name, so string building suffices.
 struct JsonObject {
   std::string body;
   void field(const char* key, double v) {
@@ -131,7 +115,6 @@ struct JsonObject {
     add(key, std::to_string(v));
   }
   void field(const char* key, unsigned v) { add(key, std::to_string(v)); }
-  void field(const char* key, bool v) { add(key, v ? "true" : "false"); }
   void field(const char* key, const std::string& v) {
     add(key, "\"" + v + "\"");
   }
@@ -155,7 +138,6 @@ JsonObject mode_json(const ModeResult& m) {
   o.field("total_ipc", m.total_ipc);
   o.field("epochs", m.epochs);
   o.field("mean_window_cycles", mean_window(m));
-  o.field("barrier_crossings", m.barrier_crossings);
   return o;
 }
 
@@ -313,144 +295,6 @@ int main() {
   scan_table.print();
   if (scan_regressed) return 1;
 
-  // Thread scaling: SECDDR_MEM_THREADS ticks each channel's controller +
-  // security engine on its own worker behind a fixed channel-order
-  // aggregation barrier. The exit gate is bit-identity: a threaded run
-  // must reproduce the serial RunResult exactly (wall clock is reported
-  // for information — on a machine with fewer free cores than threads
-  // the spin barrier can cost more than it buys; the harness clamps the
-  // env knob for that reason, this table forces thread counts to
-  // demonstrate identity).
-  std::printf("\n=== Memory-thread scaling: mcf x SecDDR-cnt, %u core(s) "
-              "===\n",
-              opt.cores);
-  TablePrinter thr_table({"channels", "mem threads", "wall [s]", "total IPC",
-                          "identical"});
-  bool thread_mismatch = false;
-  std::vector<std::string> thread_json;
-  for (unsigned ch : {1u, 2u, 4u}) {
-    sim::RunResult serial;
-    // 1 channel has nothing to thread; multi-channel runs serial + fully
-    // threaded.
-    const std::vector<unsigned> thread_counts =
-        ch == 1u ? std::vector<unsigned>{1u} : std::vector<unsigned>{1u, ch};
-    for (unsigned threads : thread_counts) {
-      const auto traces = bench::make_trace_sources(*mcf, opt.cores);
-      std::vector<sim::TraceSource*> ptrs;
-      for (const auto& t : traces) ptrs.push_back(t.get());
-      BenchOptions copt = opt;
-      copt.channels = ch;
-      sim::SystemConfig cfg = bench::make_system_config(
-          copt, SecurityParams::secddr_ctr(), dram::Timings::ddr4_3200());
-      cfg.mem_threads = threads;
-      const auto t0 = std::chrono::steady_clock::now();
-      sim::System sys(cfg, ptrs);
-      const sim::RunResult r =
-          sys.run(opt.instructions, 4'000'000'000ull, opt.warmup);
-      const double wall = std::chrono::duration<double>(
-                              std::chrono::steady_clock::now() - t0)
-                              .count();
-      bool identical = true;
-      if (threads == 1u) {
-        serial = r;
-      } else {
-        identical = r.cycles == serial.cycles &&
-                    r.total_ipc == serial.total_ipc &&
-                    r.dram.reads_completed == serial.dram.reads_completed &&
-                    r.dram.writes_completed == serial.dram.writes_completed &&
-                    r.dram.total_read_latency ==
-                        serial.dram.total_read_latency &&
-                    r.engine.counter_fetches == serial.engine.counter_fetches;
-        if (identical)
-          for (std::size_t c = 0; c < r.dram_per_channel.size(); ++c)
-            identical = identical &&
-                        r.dram_per_channel[c].reads_completed ==
-                            serial.dram_per_channel[c].reads_completed &&
-                        r.dram_per_channel[c].total_read_latency ==
-                            serial.dram_per_channel[c].total_read_latency;
-        if (!identical) thread_mismatch = true;
-      }
-      thr_table.add_row({std::to_string(ch), std::to_string(threads),
-                         TablePrinter::num(wall, 2),
-                         TablePrinter::num(r.total_ipc, 3),
-                         threads == 1u ? "-" : (identical ? "yes" : "NO")});
-      {
-        JsonObject o;
-        o.field("channels", ch);
-        o.field("mem_threads", threads);
-        o.field("wall_s", wall);
-        o.field("total_ipc", r.total_ipc);
-        o.field("identical", identical);
-        thread_json.push_back(o.done());
-      }
-    }
-  }
-  thr_table.print();
-  if (thread_mismatch) {
-    std::fprintf(stderr,
-                 "FAIL: threaded memory backend diverged from the serial "
-                 "RunResult\n");
-    return 1;
-  }
-
-  // Epoch-decoupled threaded sweep: the full fig6 sweep at 4 channels,
-  // serial vs mem_threads = 4, sweep jobs pinned to 1 so the in-System
-  // channel threads are the only parallelism being measured. Bit-identity
-  // is a hard gate; the wall-time gate (threaded at least as fast as
-  // serial) is opt-in via SECDDR_SPEED_GATE_THREADS because it cannot
-  // hold on hosts without free cores for the channel workers. The mean
-  // epoch window (core cycles per barrier crossing) is the tentpole
-  // metric: per-cycle barriers pin it to 1, the horizon-bounded windows
-  // push it orders of magnitude up.
-  std::printf("\n=== Epoch-decoupled sweep: fig6 x 4 channels, serial vs "
-              "mem_threads=4 ===\n");
-  BenchOptions topt = opt;
-  topt.channels = 4;
-  const auto tpoints = bench::cross_sweep(workloads::suite(), configs, topt);
-  const ModeResult tserial =
-      run_mode(tpoints, topt, /*event_driven=*/true, /*mem_threads=*/1,
-               /*jobs=*/1);
-  const ModeResult tthreaded =
-      run_mode(tpoints, topt, /*event_driven=*/true, /*mem_threads=*/4,
-               /*jobs=*/1);
-  TablePrinter epoch_table({"mem threads", "wall [s]", "mean epoch [cyc]",
-                            "epochs", "barrier crossings"});
-  epoch_table.add_row({"1", TablePrinter::num(tserial.wall_s, 2),
-                       TablePrinter::num(mean_window(tserial), 1),
-                       std::to_string(tserial.epochs),
-                       std::to_string(tserial.barrier_crossings)});
-  epoch_table.add_row({"4", TablePrinter::num(tthreaded.wall_s, 2),
-                       TablePrinter::num(mean_window(tthreaded), 1),
-                       std::to_string(tthreaded.epochs),
-                       std::to_string(tthreaded.barrier_crossings)});
-  epoch_table.print();
-  const bool sweep_identical =
-      tserial.total_ipc == tthreaded.total_ipc &&
-      tserial.simulated_cycles == tthreaded.simulated_cycles;
-  const double thread_speedup =
-      tthreaded.wall_s > 0 ? tserial.wall_s / tthreaded.wall_s : 0.0;
-  std::printf("threaded speedup: %.2fx (%s)\n", thread_speedup,
-              sweep_identical ? "identical results" : "RESULTS DIVERGED");
-  if (!sweep_identical) {
-    std::fprintf(stderr,
-                 "FAIL: threaded 4-channel sweep diverged from serial "
-                 "(ipc %.17g vs %.17g, cycles %llu vs %llu)\n",
-                 tserial.total_ipc, tthreaded.total_ipc,
-                 static_cast<unsigned long long>(tserial.simulated_cycles),
-                 static_cast<unsigned long long>(tthreaded.simulated_cycles));
-    return 1;
-  }
-  const bool gate_threads =
-      std::getenv("SECDDR_SPEED_GATE_THREADS") != nullptr &&
-      std::strcmp(std::getenv("SECDDR_SPEED_GATE_THREADS"), "0") != 0;
-  if (gate_threads && tthreaded.wall_s > tserial.wall_s) {
-    std::fprintf(stderr,
-                 "FAIL: threaded sweep slower than serial (%.2fs vs %.2fs) "
-                 "with SECDDR_SPEED_GATE_THREADS set\n",
-                 tthreaded.wall_s, tserial.wall_s);
-    return 1;
-  }
-
   // Machine-checkable perf trajectory (see file comment).
   const char* json_env = std::getenv("SECDDR_SPEED_JSON");
   const std::string json_path = json_env ? json_env : "BENCH_speed.json";
@@ -474,17 +318,6 @@ int main() {
     for (std::size_t i = 0; i < chan_json.size(); ++i)
       chans += (i ? "," : "") + chan_json[i];
     root.raw("channel_scaling", chans + "]");
-    std::string thr = "[";
-    for (std::size_t i = 0; i < thread_json.size(); ++i)
-      thr += (i ? "," : "") + thread_json[i];
-    root.raw("thread_scaling", thr + "]");
-    JsonObject sweep;
-    sweep.field("channels", 4u);
-    sweep.raw("serial", mode_json(tserial).done());
-    sweep.raw("threaded", mode_json(tthreaded).done());
-    sweep.field("speedup", thread_speedup);
-    sweep.field("identical", sweep_identical);
-    root.raw("threaded_sweep", sweep.done());
     if (std::FILE* f = std::fopen(json_path.c_str(), "w")) {
       const std::string out = root.done();
       std::fprintf(f, "%s\n", out.c_str());

@@ -10,8 +10,10 @@
 //                1 forces the serial in-thread path)
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <functional>
+#include <thread>
 #include <type_traits>
 #include <vector>
 
@@ -26,8 +28,12 @@ struct SweepPoint {
   dram::Timings timings = dram::Timings::ddr4_3200();
 };
 
-// (sweep_jobs() lives in harness.h so the SECDDR_MEM_THREADS clamp can
-// share it.)
+/// Worker count for bench sweeps: SECDDR_JOBS if set, else hardware
+/// concurrency.
+inline unsigned sweep_jobs() {
+  return env_unsigned("SECDDR_JOBS",
+                      std::max(1u, std::thread::hardware_concurrency()));
+}
 
 /// Runs `fn(0) .. fn(n-1)` on a pool of `jobs` threads. `jobs <= 1` runs
 /// everything on the calling thread. Indices are handed out atomically, so

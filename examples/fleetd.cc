@@ -17,7 +17,8 @@
 // recovery machinery and (b) still match the undisturbed reference
 // byte for byte, with zero nodes quarantined.
 //
-// Environment knobs (all optional):
+// Environment knobs (all optional; a malformed number names the knob and
+// exits 2):
 //   SECDDR_FLEET_NODES    simulated nodes                 (default 4)
 //   SECDDR_FLEET_WORKERS  worker processes                (default 2)
 //   SECDDR_FLEET_CKPT     cycles between checkpoints      (default 10000)
@@ -35,6 +36,7 @@
 #include <string>
 #include <vector>
 
+#include "common/env.h"
 #include "fleet/chaos.h"
 #include "fleet/coordinator.h"
 #include "fleet/shard.h"
@@ -69,11 +71,6 @@ fleet::NodeConfig make_node(unsigned i, const bench::BenchOptions& opt) {
   return n;
 }
 
-std::uint64_t env_u64(const char* name, std::uint64_t fallback) {
-  const char* s = std::getenv(name);
-  return s ? std::strtoull(s, nullptr, 10) : fallback;
-}
-
 std::string json_hist(const std::vector<std::uint64_t>& h) {
   std::string out = "[";
   for (std::size_t i = 0; i < h.size(); ++i) {
@@ -92,29 +89,24 @@ int main(int argc, char** argv) {
   if (!std::getenv("SECDDR_WARMUP")) opt.warmup = 5000;
   if (!std::getenv("SECDDR_CORES")) opt.cores = 2;
 
-  bool chaos_mode = false;
-  std::uint64_t chaos_seed = 1;
-  if (const char* s = std::getenv("SECDDR_FLEET_CHAOS")) {
-    chaos_mode = true;
-    chaos_seed = std::strtoull(s, nullptr, 10);
-  }
+  bool chaos_mode = std::getenv("SECDDR_FLEET_CHAOS") != nullptr;
+  std::uint64_t chaos_seed =
+      env_integer<std::uint64_t>("SECDDR_FLEET_CHAOS", 1);
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--chaos") == 0) {
       chaos_mode = true;
     } else if (std::strncmp(argv[i], "--chaos=", 8) == 0) {
       chaos_mode = true;
-      chaos_seed = std::strtoull(argv[i] + 8, nullptr, 10);
+      chaos_seed = parse_or_exit<std::uint64_t>("--chaos", argv[i] + 8);
     } else {
       std::fprintf(stderr, "fleetd: unknown argument '%s'\n", argv[i]);
       return 2;
     }
   }
 
-  const unsigned node_count =
-      static_cast<unsigned>(env_u64("SECDDR_FLEET_NODES", 4));
-  const unsigned workers =
-      static_cast<unsigned>(env_u64("SECDDR_FLEET_WORKERS", 2));
-  const Cycle ckpt_every = env_u64("SECDDR_FLEET_CKPT", 10'000);
+  const unsigned node_count = env_integer("SECDDR_FLEET_NODES", 4u);
+  const unsigned workers = env_integer("SECDDR_FLEET_WORKERS", 2u);
+  const Cycle ckpt_every = env_integer<Cycle>("SECDDR_FLEET_CKPT", 10'000);
   const char* kill_env = std::getenv("SECDDR_FLEET_KILL");
   const bool kill_hook = kill_env && std::strcmp(kill_env, "1") == 0;
   const char* state_env = std::getenv("SECDDR_FLEET_STATE");
@@ -138,7 +130,7 @@ int main(int argc, char** argv) {
   if (chaos_mode) {
     run_opts.chaos = fleet::ChaosPlan::seeded(chaos_seed, node_count);
     run_opts.watchdog_deadline_ms =
-        static_cast<unsigned>(env_u64("SECDDR_FLEET_WATCHDOG_MS", 2'000));
+        env_integer("SECDDR_FLEET_WATCHDOG_MS", 2'000u);
     // The seeded plan is built so full recovery (not quarantine) is the
     // required outcome; give the supervisor headroom to prove it.
     run_opts.node_failure_budget = 16;

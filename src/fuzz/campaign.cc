@@ -8,6 +8,8 @@
 #include <sstream>
 #include <thread>
 
+#include "common/env.h"
+
 namespace secddr::fuzz {
 
 namespace {
@@ -29,12 +31,9 @@ std::string hex64(std::uint64_t v) {
 
 CampaignOptions CampaignOptions::from_env() {
   CampaignOptions o;
-  if (const char* s = std::getenv("SECDDR_FUZZ_TRIALS"))
-    o.trials = std::strtoull(s, nullptr, 10);
-  if (const char* s = std::getenv("SECDDR_FUZZ_SEED"))
-    o.seed = std::strtoull(s, nullptr, 0);
-  if (const char* s = std::getenv("SECDDR_FUZZ_JOBS"))
-    o.jobs = static_cast<unsigned>(std::strtoul(s, nullptr, 10));
+  o.trials = env_integer("SECDDR_FUZZ_TRIALS", o.trials);
+  o.seed = env_integer("SECDDR_FUZZ_SEED", o.seed, /*hex_ok=*/true);
+  o.jobs = env_integer("SECDDR_FUZZ_JOBS", o.jobs);
   if (o.jobs == 0) {
     const unsigned hw = std::thread::hardware_concurrency();
     o.jobs = hw ? hw : 1u;
@@ -42,9 +41,6 @@ CampaignOptions CampaignOptions::from_env() {
   if (const char* s = std::getenv("SECDDR_FUZZ_PROFILES")) o.profile_filter = s;
   o.exec.timing_leg = env_flag("SECDDR_FUZZ_SIM", false);
   o.exec.event_driven = env_flag("SECDDR_FUZZ_EVENT_DRIVEN", true);
-  if (const char* s = std::getenv("SECDDR_MEM_THREADS"))
-    o.exec.mem_threads =
-        std::max(1u, static_cast<unsigned>(std::strtoul(s, nullptr, 10)));
   if (const char* s = std::getenv("SECDDR_FUZZ_SAVE_DIR")) o.save_dir = s;
   return o;
 }

@@ -5,18 +5,19 @@
 // generated *sequentially* from one master RNG and executed in parallel
 // batches whose results are merged in generation order, so the campaign
 // is bit-reproducible from its seed at any SECDDR_FUZZ_JOBS — the
-// determinism tests diff the whole campaign log across job counts, loop
-// modes, and SECDDR_MEM_THREADS.
+// determinism tests diff the whole campaign log across job counts and
+// loop modes.
 //
-// Environment knobs (CampaignOptions::from_env; flags accept 0/1):
+// Environment knobs (CampaignOptions::from_env; flags accept 0/1; a
+// malformed number names the knob and exits 2):
 //   SECDDR_FUZZ_TRIALS        mutated executions        (default 10000)
-//   SECDDR_FUZZ_SEED          campaign seed             (default 0x5ecdd6)
-//   SECDDR_FUZZ_JOBS          worker threads            (default: SECDDR_JOBS
-//                             or hardware concurrency)
+//   SECDDR_FUZZ_SEED          campaign seed, decimal or 0x-hex
+//                                                       (default 0x5ecdd6)
+//   SECDDR_FUZZ_JOBS          worker threads            (default 0 =
+//                                                       hardware concurrency)
 //   SECDDR_FUZZ_PROFILES      substring filter on profile names
 //   SECDDR_FUZZ_SIM           1 = timing leg on         (default 0)
 //   SECDDR_FUZZ_EVENT_DRIVEN  timing-leg loop mode      (default 1)
-//   SECDDR_MEM_THREADS        timing-leg channel threads (default 1)
 //   SECDDR_FUZZ_SAVE_DIR      write escapes + their minimized forms here
 #pragma once
 

@@ -17,7 +17,6 @@ System::System(const SystemConfig& config, std::vector<TraceSource*> traces)
   bc.core_mhz = config.core_mhz;
   bc.data_bytes = config.data_bytes;
   bc.event_driven = config.event_driven;
-  bc.mem_threads = config.mem_threads;
   bc.power = config.power;
   backend_ = std::make_unique<MemoryBackend>(bc);
   memory_ = std::make_unique<MemorySystem>(config.mem, *backend_);

@@ -33,9 +33,9 @@ struct SystemConfig {
   /// RunResults (asserted by the SimFastPathDeterminism tests); turn off
   /// to cross-check or to profile the per-cycle loop (bench/speed.cc).
   bool event_driven = true;
-  /// Opt-in per-channel memory threading (see BackendConfig::mem_threads):
-  /// > 1 ticks the channels on that many threads, clamped to the channel
-  /// count. Threaded and serial runs are bit-identical.
+  /// No effect: channels always tick serially in channel order. Kept
+  /// only because perfbench/traced_loop.cc still copies it into
+  /// BackendConfig.
   unsigned mem_threads = 1;
   /// Per-channel dynamic power/thermal accounting + thermal-aware
   /// policies (dram::PowerConfig; everything off by default). Enabling
@@ -122,9 +122,8 @@ class System {
   /// record. Throws std::runtime_error on any structural mismatch.
   void load(serial::Source& s);
   /// FNV-1a hash over every result-affecting config field. Excludes
-  /// event_driven / mem_threads (bit-identical execution strategies) and
-  /// cosmetic names, so a checkpoint restores into any equivalent
-  /// configuration.
+  /// event_driven (the two loop modes are bit-identical) and cosmetic
+  /// names, so a checkpoint restores into any equivalent configuration.
   std::uint64_t config_hash() const;
 
   MemoryBackend& backend() { return *backend_; }

@@ -9,7 +9,7 @@
 //  * round-trip property: run a System partway, checkpoint, restore into
 //    a FRESH System (freshly positioned traces), run both to completion
 //    — the RunResults must be byte-identical to each other and to an
-//    uninterrupted run, across channels x mem_threads x both loop modes.
+//    uninterrupted run, across channels x both loop modes.
 #include <gtest/gtest.h>
 
 #include <sys/stat.h>
@@ -99,11 +99,14 @@ TEST(FleetCheckpointFormat, CorruptionBattery) {
     b[20] ^= 0x01;  // inside config_hash
     expect_error(b, 28, "header checksum mismatch");
   }
-  {  // version skew (header CRC re-fixed, so the version check fires)
+  // Version skew (header CRC re-fixed, so the version check fires): a
+  // newer format, and version 1, whose backend payload is laid out
+  // differently.
+  for (const std::uint32_t version : {ck::kVersion + 7, 1u}) {
     std::vector<std::uint8_t> b = good;
-    sim::trace_codec::put_u32(b.data() + 8, ck::kVersion + 7);
+    sim::trace_codec::put_u32(b.data() + 8, version);
     refresh_header_crc(b);
-    expect_error(b, 8, "unsupported version 8");
+    expect_error(b, 8, "unsupported version " + std::to_string(version));
   }
   {  // truncated block header
     std::vector<std::uint8_t> b(good.begin(),
@@ -351,15 +354,13 @@ TEST(FleetCheckpointGenerations, RestoreFallsBackPastCorruptNewest) {
 // System-level checkpoint/restore.
 // ---------------------------------------------------------------------------
 
-sim::SystemConfig small_config(unsigned channels, unsigned mem_threads,
-                               bool event_driven) {
+sim::SystemConfig small_config(unsigned channels, bool event_driven) {
   sim::SystemConfig cfg;
   cfg.mem.cores = 2;
   cfg.security = secmem::SecurityParams::secddr_ctr();
   cfg.geometry.channels = channels;
   cfg.data_bytes = 4ull << 30;  // two cores at 2GB trace stride
   cfg.event_driven = event_driven;
-  cfg.mem_threads = mem_threads;
   return cfg;
 }
 
@@ -384,38 +385,34 @@ TEST(FleetSystemCheckpoint, MidRunRestoreIsBitIdenticalAcrossConfigs) {
   const auto* desc = workloads::find("mcf");
   ASSERT_NE(desc, nullptr);
   for (const unsigned channels : {1u, 2u, 4u}) {
-    for (const unsigned mem_threads : {1u, 4u}) {
-      for (const bool event_driven : {false, true}) {
-        SCOPED_TRACE(std::to_string(channels) + "ch/mem_threads=" +
-                     std::to_string(mem_threads) + "/event_driven=" +
-                     std::to_string(event_driven));
-        const sim::SystemConfig cfg =
-            small_config(channels, mem_threads, event_driven);
+    for (const bool event_driven : {false, true}) {
+      SCOPED_TRACE(std::to_string(channels) + "ch/event_driven=" +
+                   std::to_string(event_driven));
+      const sim::SystemConfig cfg = small_config(channels, event_driven);
 
-        // Uninterrupted reference.
-        LiveSystem ref = make_system(*desc, cfg);
-        const std::vector<std::uint8_t> ref_bytes = ck::encode_result(
-            ref.sys->run(1200, 2'000'000'000, /*warmup=*/400));
+      // Uninterrupted reference.
+      LiveSystem ref = make_system(*desc, cfg);
+      const std::vector<std::uint8_t> ref_bytes = ck::encode_result(
+          ref.sys->run(1200, 2'000'000'000, /*warmup=*/400));
 
-        // Interrupted run: checkpoint mid-flight (a budget that lands
-        // inside the warmup or early measured phase), restore into a
-        // FRESH System, finish both, compare all three byte-for-byte.
-        LiveSystem a = make_system(*desc, cfg);
-        a.sys->begin(1200, 2'000'000'000, /*warmup=*/400);
-        ASSERT_TRUE(a.sys->step(1500)) << "budget larger than the whole run";
-        const std::vector<std::uint8_t> image = ck::encode_system(*a.sys);
+      // Interrupted run: checkpoint mid-flight (a budget that lands
+      // inside the warmup or early measured phase), restore into a
+      // FRESH System, finish both, compare all three byte-for-byte.
+      LiveSystem a = make_system(*desc, cfg);
+      a.sys->begin(1200, 2'000'000'000, /*warmup=*/400);
+      ASSERT_TRUE(a.sys->step(1500)) << "budget larger than the whole run";
+      const std::vector<std::uint8_t> image = ck::encode_system(*a.sys);
 
-        LiveSystem b = make_system(*desc, cfg);
-        b.sys->begin(1200, 2'000'000'000, /*warmup=*/400);
-        ck::decode_system(*b.sys, image.data(), image.size(), "mid.ckpt");
+      LiveSystem b = make_system(*desc, cfg);
+      b.sys->begin(1200, 2'000'000'000, /*warmup=*/400);
+      ck::decode_system(*b.sys, image.data(), image.size(), "mid.ckpt");
 
-        while (a.sys->step(kNoEvent)) {
-        }
-        while (b.sys->step(kNoEvent)) {
-        }
-        EXPECT_EQ(ck::encode_result(a.sys->result()), ref_bytes);
-        EXPECT_EQ(ck::encode_result(b.sys->result()), ref_bytes);
+      while (a.sys->step(kNoEvent)) {
       }
+      while (b.sys->step(kNoEvent)) {
+      }
+      EXPECT_EQ(ck::encode_result(a.sys->result()), ref_bytes);
+      EXPECT_EQ(ck::encode_result(b.sys->result()), ref_bytes);
     }
   }
 }
@@ -425,8 +422,8 @@ TEST(FleetSystemCheckpoint, MidRunRestoreRoundTripsThermalState) {
   // carries the remap table, in-window command counts, fixed-point rank
   // temperatures, and throttle engagement. A mid-run restore must finish
   // bit-identically to the uninterrupted run — across both loop modes
-  // and a threaded multi-channel backend (encode_result covers the power
-  // reports, so temperature trajectories are compared too).
+  // and a multi-channel backend (encode_result covers the power reports,
+  // so temperature trajectories are compared too).
   const auto* desc = workloads::find("mcf");
   ASSERT_NE(desc, nullptr);
   dram::PowerConfig power;
@@ -440,55 +437,51 @@ TEST(FleetSystemCheckpoint, MidRunRestoreRoundTripsThermalState) {
   power.remap_delta_mc = 100;
   power.remap_min_windows = 2;
   for (const unsigned channels : {1u, 2u}) {
-    for (const unsigned mem_threads : {1u, 2u}) {
-      for (const bool event_driven : {false, true}) {
-        SCOPED_TRACE(std::to_string(channels) + "ch/mem_threads=" +
-                     std::to_string(mem_threads) + "/event_driven=" +
-                     std::to_string(event_driven));
-        sim::SystemConfig cfg =
-            small_config(channels, mem_threads, event_driven);
-        cfg.power = power;
+    for (const bool event_driven : {false, true}) {
+      SCOPED_TRACE(std::to_string(channels) + "ch/event_driven=" +
+                   std::to_string(event_driven));
+      sim::SystemConfig cfg = small_config(channels, event_driven);
+      cfg.power = power;
 
-        LiveSystem ref = make_system(*desc, cfg);
-        const std::vector<std::uint8_t> ref_bytes = ck::encode_result(
-            ref.sys->run(1200, 2'000'000'000, /*warmup=*/400));
+      LiveSystem ref = make_system(*desc, cfg);
+      const std::vector<std::uint8_t> ref_bytes = ck::encode_result(
+          ref.sys->run(1200, 2'000'000'000, /*warmup=*/400));
 
-        LiveSystem a = make_system(*desc, cfg);
-        a.sys->begin(1200, 2'000'000'000, /*warmup=*/400);
-        ASSERT_TRUE(a.sys->step(1500)) << "budget larger than the whole run";
-        const std::vector<std::uint8_t> image = ck::encode_system(*a.sys);
+      LiveSystem a = make_system(*desc, cfg);
+      a.sys->begin(1200, 2'000'000'000, /*warmup=*/400);
+      ASSERT_TRUE(a.sys->step(1500)) << "budget larger than the whole run";
+      const std::vector<std::uint8_t> image = ck::encode_system(*a.sys);
 
-        LiveSystem b = make_system(*desc, cfg);
-        b.sys->begin(1200, 2'000'000'000, /*warmup=*/400);
-        ck::decode_system(*b.sys, image.data(), image.size(), "thermal.ckpt");
-        while (a.sys->step(kNoEvent)) {
-        }
-        while (b.sys->step(kNoEvent)) {
-        }
-        EXPECT_EQ(ck::encode_result(a.sys->result()), ref_bytes);
-        EXPECT_EQ(ck::encode_result(b.sys->result()), ref_bytes);
-
-        // A power-enabled config hashes differently from the default, so
-        // this checkpoint cannot restore into a power-off System.
-        LiveSystem plain =
-            make_system(*desc, small_config(channels, 1, event_driven));
-        plain.sys->begin(1200, 2'000'000'000, /*warmup=*/400);
-        EXPECT_THROW(ck::decode_system(*plain.sys, image.data(), image.size(),
-                                       "thermal.ckpt"),
-                     CheckpointFormatError);
+      LiveSystem b = make_system(*desc, cfg);
+      b.sys->begin(1200, 2'000'000'000, /*warmup=*/400);
+      ck::decode_system(*b.sys, image.data(), image.size(), "thermal.ckpt");
+      while (a.sys->step(kNoEvent)) {
       }
+      while (b.sys->step(kNoEvent)) {
+      }
+      EXPECT_EQ(ck::encode_result(a.sys->result()), ref_bytes);
+      EXPECT_EQ(ck::encode_result(b.sys->result()), ref_bytes);
+
+      // A power-enabled config hashes differently from the default, so
+      // this checkpoint cannot restore into a power-off System.
+      LiveSystem plain =
+          make_system(*desc, small_config(channels, event_driven));
+      plain.sys->begin(1200, 2'000'000'000, /*warmup=*/400);
+      EXPECT_THROW(ck::decode_system(*plain.sys, image.data(), image.size(),
+                                     "thermal.ckpt"),
+                   CheckpointFormatError);
     }
   }
 }
 
-TEST(FleetSystemCheckpoint, RestoreCrossesLoopModeAndThreadCount) {
-  // config_hash() excludes the execution knobs, so a checkpoint written
-  // by the serial per-cycle loop must restore into an event-driven
-  // epoch-threaded System — and still finish bit-identically.
+TEST(FleetSystemCheckpoint, RestoreCrossesLoopMode) {
+  // config_hash() excludes the loop mode, so a checkpoint written by the
+  // per-cycle loop must restore into an event-driven System — and still
+  // finish bit-identically.
   const auto* desc = workloads::find("lbm");
   ASSERT_NE(desc, nullptr);
   LiveSystem writer =
-      make_system(*desc, small_config(2, 1, /*event_driven=*/false));
+      make_system(*desc, small_config(2, /*event_driven=*/false));
   writer.sys->begin(1000, 2'000'000'000, /*warmup=*/300);
   ASSERT_TRUE(writer.sys->step(900));
   const std::vector<std::uint8_t> image = ck::encode_system(*writer.sys);
@@ -496,7 +489,7 @@ TEST(FleetSystemCheckpoint, RestoreCrossesLoopModeAndThreadCount) {
   }
 
   LiveSystem reader =
-      make_system(*desc, small_config(2, 2, /*event_driven=*/true));
+      make_system(*desc, small_config(2, /*event_driven=*/true));
   reader.sys->begin(1000, 2'000'000'000, /*warmup=*/300);
   ck::decode_system(*reader.sys, image.data(), image.size(), "cross.ckpt");
   while (reader.sys->step(kNoEvent)) {
@@ -509,13 +502,13 @@ TEST(FleetSystemCheckpoint, ConfigHashMismatchIsRejectedAtOffset16) {
   const auto* desc = workloads::find("mcf");
   ASSERT_NE(desc, nullptr);
   LiveSystem writer =
-      make_system(*desc, small_config(1, 1, /*event_driven=*/true));
+      make_system(*desc, small_config(1, /*event_driven=*/true));
   writer.sys->begin(600, 2'000'000'000, /*warmup=*/200);
   ASSERT_TRUE(writer.sys->step(500));
   const std::vector<std::uint8_t> image = ck::encode_system(*writer.sys);
 
   // A different security configuration is a different config hash.
-  sim::SystemConfig other = small_config(1, 1, /*event_driven=*/true);
+  sim::SystemConfig other = small_config(1, /*event_driven=*/true);
   other.security = secmem::SecurityParams::baseline_tree_ctr();
   LiveSystem reader = make_system(*desc, other);
   reader.sys->begin(600, 2'000'000'000, /*warmup=*/200);
@@ -529,9 +522,9 @@ TEST(FleetSystemCheckpoint, ConfigHashMismatchIsRejectedAtOffset16) {
         << e.what();
   }
 
-  // Execution-equivalent knobs (loop mode, threads) hash identically.
+  // The loop mode is execution-equivalent, so it hashes identically.
   EXPECT_EQ(writer.sys->config_hash(),
-            make_system(*desc, small_config(1, 4, /*event_driven=*/false))
+            make_system(*desc, small_config(1, /*event_driven=*/false))
                 .sys->config_hash());
   EXPECT_NE(writer.sys->config_hash(), reader.sys->config_hash());
 }
@@ -540,7 +533,7 @@ TEST(FleetSystemCheckpoint, TruncatedSystemPayloadReportsOffset) {
   const auto* desc = workloads::find("mcf");
   ASSERT_NE(desc, nullptr);
   LiveSystem writer =
-      make_system(*desc, small_config(1, 1, /*event_driven=*/true));
+      make_system(*desc, small_config(1, /*event_driven=*/true));
   writer.sys->begin(600, 2'000'000'000, /*warmup=*/200);
   ASSERT_TRUE(writer.sys->step(500));
   serial::Sink s;
@@ -551,7 +544,7 @@ TEST(FleetSystemCheckpoint, TruncatedSystemPayloadReportsOffset) {
       ck::encode(writer.sys->config_hash(), payload);
 
   LiveSystem reader =
-      make_system(*desc, small_config(1, 1, /*event_driven=*/true));
+      make_system(*desc, small_config(1, /*event_driven=*/true));
   reader.sys->begin(600, 2'000'000'000, /*warmup=*/200);
   try {
     ck::decode_system(*reader.sys, image.data(), image.size(), "cut.ckpt");

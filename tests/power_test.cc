@@ -12,8 +12,7 @@
 //    x ranks x per-cycle;
 //  * accounting neutrality (enabled-no-policies runs are bit-identical
 //    to disabled) and policy determinism (throttle + remap enabled runs
-//    are bit-identical across loop modes, thread counts, and channel
-//    counts);
+//    are bit-identical across loop modes and channel counts);
 //  * throttle engagement and remap swaps actually occur under the
 //    configurations that should produce them, without losing requests;
 //  * controller save/load round-trips the power block (remap table,
@@ -202,8 +201,7 @@ TEST(ThermalModel, TemperatureIsMonotoneInInjectedEnergy) {
 
 // -------------------------------------------------- simulation plumbing
 
-sim::SystemConfig power_config(unsigned channels, unsigned mem_threads,
-                               bool event_driven,
+sim::SystemConfig power_config(unsigned channels, bool event_driven,
                                const dram::PowerConfig& power) {
   sim::SystemConfig cfg;
   cfg.mem.cores = 2;
@@ -211,7 +209,6 @@ sim::SystemConfig power_config(unsigned channels, unsigned mem_threads,
   cfg.geometry.channels = channels;
   cfg.data_bytes = 4ull << 30;  // two cores at 2GB trace stride
   cfg.event_driven = event_driven;
-  cfg.mem_threads = mem_threads;
   cfg.power = power;
   return cfg;
 }
@@ -246,7 +243,7 @@ TEST(PowerSim, RunResultEnergyConservesExactly) {
   ASSERT_NE(desc, nullptr);
   dram::PowerConfig power;
   power.enabled = true;
-  const sim::SystemConfig cfg = power_config(2, 1, true, power);
+  const sim::SystemConfig cfg = power_config(2, true, power);
   // warmup = 0: totals cover every closed window since cycle 0.
   const sim::RunResult r = run_power(*desc, cfg, 3000, /*warmup=*/0);
   const auto& p = power.energy;
@@ -284,9 +281,9 @@ TEST(PowerSim, AccountingIsTimingNeutral) {
   for (const bool event_driven : {false, true}) {
     SCOPED_TRACE(event_driven ? "event-driven" : "per-cycle");
     const sim::RunResult off = run_power(
-        *desc, power_config(1, 1, event_driven, dram::PowerConfig{}));
+        *desc, power_config(1, event_driven, dram::PowerConfig{}));
     const sim::RunResult on =
-        run_power(*desc, power_config(1, 1, event_driven, acct));
+        run_power(*desc, power_config(1, event_driven, acct));
     EXPECT_EQ(off.cycles, on.cycles);
     EXPECT_EQ(off.total_ipc, on.total_ipc);
     EXPECT_EQ(off.dram.reads_completed, on.dram.reads_completed);
@@ -302,29 +299,18 @@ TEST(PowerSim, AccountingIsTimingNeutral) {
 }
 
 TEST(PowerSim, PoliciesAreBitIdenticalAcrossExecutionStrategies) {
-  // Throttle + remap change timing, but deterministically: every loop
-  // mode / thread count / channel count must produce byte-identical
-  // RunResults (including the power reports — encode_result covers
-  // them).
+  // Throttle + remap change timing, but deterministically: both loop
+  // modes must produce byte-identical RunResults at every channel count
+  // (including the power reports — encode_result covers them).
   const auto* desc = workloads::find("mcf");
   ASSERT_NE(desc, nullptr);
   const dram::PowerConfig power = demo_policies();
   for (const unsigned channels : {1u, 2u, 4u}) {
     SCOPED_TRACE(std::to_string(channels) + "ch");
-    const std::vector<std::uint8_t> reference = fleet::checkpoint::encode_result(
-        run_power(*desc, power_config(channels, 1, false, power)));
-    for (const unsigned mem_threads : {1u, 4u}) {
-      for (const bool event_driven : {false, true}) {
-        if (!event_driven && mem_threads == 1) continue;  // the reference
-        SCOPED_TRACE("mem_threads=" + std::to_string(mem_threads) +
-                     "/event_driven=" + std::to_string(event_driven));
-        EXPECT_EQ(fleet::checkpoint::encode_result(run_power(
-                      *desc,
-                      power_config(channels, mem_threads, event_driven,
-                                   power))),
-                  reference);
-      }
-    }
+    EXPECT_EQ(fleet::checkpoint::encode_result(
+                  run_power(*desc, power_config(channels, false, power))),
+              fleet::checkpoint::encode_result(
+                  run_power(*desc, power_config(channels, true, power))));
   }
 }
 
@@ -336,9 +322,9 @@ TEST(PowerSim, ThrottleEngagesAndSlowsTheRun) {
   dram::PowerConfig cold = hot;
   cold.throttle = false;
   const sim::RunResult free_run =
-      run_power(*desc, power_config(1, 1, true, cold), 8000, 0);
+      run_power(*desc, power_config(1, true, cold), 8000, 0);
   const sim::RunResult gated =
-      run_power(*desc, power_config(1, 1, true, hot), 8000, 0);
+      run_power(*desc, power_config(1, true, hot), 8000, 0);
   ASSERT_EQ(gated.power_per_channel.size(), 1u);
   const auto& p = gated.power_per_channel[0];
   EXPECT_GT(p.throttled_windows, 0u) << "trip point never reached";

@@ -10,10 +10,8 @@
 // numbers the pre-backend single-channel pipeline produced.
 //
 // SECDDR_CHANNELS overrides the channel count of every variant that does
-// not pin one itself, and SECDDR_MEM_THREADS runs every variant's memory
-// backend on that many per-channel tick threads (ci.sh runs the
-// determinism label with SECDDR_CHANNELS=2 and again with
-// SECDDR_MEM_THREADS=2 as dedicated steps).
+// not pin one itself (ci.sh runs the determinism label with
+// SECDDR_CHANNELS=2 as a dedicated step).
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -73,15 +71,8 @@ unsigned env_channels() {
   return (ch != 0 && (ch & (ch - 1)) == 0) ? ch : 1;
 }
 
-unsigned env_mem_threads() {
-  const char* s = std::getenv("SECDDR_MEM_THREADS");
-  const unsigned t = s ? static_cast<unsigned>(std::strtoul(s, nullptr, 10)) : 1;
-  return t ? t : 1;
-}
-
 RunResult run_variant(const workloads::WorkloadDesc& desc, const Variant& v,
-                      bool event_driven, Cycle max_cycles = 2'000'000'000,
-                      unsigned mem_threads = 0) {
+                      bool event_driven, Cycle max_cycles = 2'000'000'000) {
   SystemConfig cfg;
   cfg.mem.cores = 2;
   cfg.security = v.security;
@@ -91,7 +82,6 @@ RunResult run_variant(const workloads::WorkloadDesc& desc, const Variant& v,
   cfg.geometry.channel_interleave = v.interleave;
   cfg.data_bytes = 4ull << 30;  // two cores at 2GB trace stride
   cfg.event_driven = event_driven;
-  cfg.mem_threads = mem_threads ? mem_threads : env_mem_threads();
   workloads::SyntheticTrace t0(desc, 0), t1(desc, 1);
   System sys(cfg, {&t0, &t1});
   return sys.run(3000, max_cycles, /*warmup=*/800);
@@ -365,9 +355,9 @@ TEST(SimFastPathDeterminism, Channels1MatchesPreBackendGolden) {
 }
 
 // Golden results captured at the PR 3 commit (global-deque controller,
-// serial backend): the per-bank request queues and the threaded tick path
-// must reproduce them bit for bit, single- and multi-channel, both
-// channel-bit positions, and at the saturated 4-core configuration.
+// serial backend): the per-bank request queues must reproduce them bit
+// for bit, single- and multi-channel, both channel-bit positions, and at
+// the saturated 4-core configuration.
 // All-integer fields only, so they are exact on any platform.
 TEST(SimFastPathDeterminism, PerBankQueuesMatchPr3Golden) {
   struct Golden {
@@ -394,77 +384,45 @@ TEST(SimFastPathDeterminism, PerBankQueuesMatchPr3Golden) {
        4021, 0, 359, 3662, 4364, 4364, 3, 16084, 1207386, 2280, 23249,
        22789},
   };
-  // Serial first, then every channel ticked on its own thread: both must
-  // match the PR 3 numbers exactly.
-  for (const unsigned mem_threads : {1u, 4u}) {
-    SCOPED_TRACE("mem_threads=" + std::to_string(mem_threads));
-    for (const Golden& g : goldens) {
-      SCOPED_TRACE(std::string(g.workload) + "/" +
-                   std::to_string(g.channels) + "ch/" +
-                   std::to_string(g.cores) + "cores");
-      SystemConfig cfg;
-      cfg.mem.cores = g.cores;
-      cfg.security = g.security;
-      cfg.geometry.channels = g.channels;
-      cfg.geometry.channel_interleave = g.interleave;
-      cfg.data_bytes = static_cast<std::uint64_t>(g.cores) * (2ull << 30);
-      cfg.mem_threads = mem_threads;
-      std::vector<std::unique_ptr<workloads::SyntheticTrace>> traces;
-      std::vector<TraceSource*> ptrs;
-      const auto* desc = workloads::find(g.workload);
-      ASSERT_NE(desc, nullptr);
-      for (unsigned i = 0; i < g.cores; ++i) {
-        traces.push_back(std::make_unique<workloads::SyntheticTrace>(*desc, i));
-        ptrs.push_back(traces.back().get());
-      }
-      System sys(cfg, ptrs);
-      const RunResult r = sys.run(3000, 2'000'000'000, /*warmup=*/800);
-      EXPECT_EQ(r.cycles, g.cycles);
-      EXPECT_EQ(r.mem.llc_demand_misses, g.llc_misses);
-      EXPECT_EQ(r.engine.data_reads, g.data_reads);
-      EXPECT_EQ(r.engine.counter_fetches, g.counter_fetches);
-      EXPECT_EQ(r.engine.tree_node_fetches, g.tree_node_fetches);
-      EXPECT_EQ(r.dram.reads_enqueued, g.reads_enqueued);
-      EXPECT_EQ(r.dram.reads_completed, g.reads_completed);
-      EXPECT_EQ(r.dram.writes_completed, g.writes_completed);
-      EXPECT_EQ(r.dram.row_hits, g.row_hits);
-      EXPECT_EQ(r.dram.row_misses, g.row_misses);
-      EXPECT_EQ(r.dram.activates, g.activates);
-      EXPECT_EQ(r.dram.precharges, g.precharges);
-      EXPECT_EQ(r.dram.refreshes, g.refreshes);
-      EXPECT_EQ(r.dram.data_bus_busy_cycles, g.data_bus_busy_cycles);
-      EXPECT_EQ(r.dram.total_read_latency, g.total_read_latency);
-      EXPECT_EQ(r.metadata_accesses, g.metadata_accesses);
-      ASSERT_GE(r.cores.size(), 1u);
-      EXPECT_EQ(r.cores[0].cycles, g.core0_cycles);
-      EXPECT_EQ(r.cores[0].load_stall_cycles, g.core0_load_stalls);
-    }
-  }
-}
-
-// Threaded memory backend (SECDDR_MEM_THREADS > 1): every channel's
-// controller + engine ticks on a worker thread behind a fixed
-// channel-order aggregation barrier, so the full RunResult — including
-// per-channel breakdowns — must be bit-identical to the serial backend,
-// under both simulation loops.
-TEST(SimFastPathDeterminism, ThreadedBackendBitIdentical) {
-  for (const char* wl : {"mcf", "lbm"}) {
-    const auto* desc = workloads::find(wl);
+  for (const Golden& g : goldens) {
+    SCOPED_TRACE(std::string(g.workload) + "/" +
+                 std::to_string(g.channels) + "ch/" +
+                 std::to_string(g.cores) + "cores");
+    SystemConfig cfg;
+    cfg.mem.cores = g.cores;
+    cfg.security = g.security;
+    cfg.geometry.channels = g.channels;
+    cfg.geometry.channel_interleave = g.interleave;
+    cfg.data_bytes = static_cast<std::uint64_t>(g.cores) * (2ull << 30);
+    std::vector<std::unique_ptr<workloads::SyntheticTrace>> traces;
+    std::vector<TraceSource*> ptrs;
+    const auto* desc = workloads::find(g.workload);
     ASSERT_NE(desc, nullptr);
-    for (unsigned channels : {2u, 4u}) {
-      Variant v{"threaded", secmem::SecurityParams::secddr_ctr()};
-      v.channels = channels;
-      if (channels == 4) v.interleave = dram::ChannelInterleave::kRow;
-      for (const bool event_driven : {true, false}) {
-        SCOPED_TRACE(std::string(wl) + "/" + std::to_string(channels) +
-                     "ch/event_driven=" + std::to_string(event_driven));
-        const RunResult serial = run_variant(*desc, v, event_driven,
-                                             2'000'000'000, /*mem_threads=*/1);
-        const RunResult threaded = run_variant(
-            *desc, v, event_driven, 2'000'000'000, /*mem_threads=*/channels);
-        expect_identical(serial, threaded);
-      }
+    for (unsigned i = 0; i < g.cores; ++i) {
+      traces.push_back(std::make_unique<workloads::SyntheticTrace>(*desc, i));
+      ptrs.push_back(traces.back().get());
     }
+    System sys(cfg, ptrs);
+    const RunResult r = sys.run(3000, 2'000'000'000, /*warmup=*/800);
+    EXPECT_EQ(r.cycles, g.cycles);
+    EXPECT_EQ(r.mem.llc_demand_misses, g.llc_misses);
+    EXPECT_EQ(r.engine.data_reads, g.data_reads);
+    EXPECT_EQ(r.engine.counter_fetches, g.counter_fetches);
+    EXPECT_EQ(r.engine.tree_node_fetches, g.tree_node_fetches);
+    EXPECT_EQ(r.dram.reads_enqueued, g.reads_enqueued);
+    EXPECT_EQ(r.dram.reads_completed, g.reads_completed);
+    EXPECT_EQ(r.dram.writes_completed, g.writes_completed);
+    EXPECT_EQ(r.dram.row_hits, g.row_hits);
+    EXPECT_EQ(r.dram.row_misses, g.row_misses);
+    EXPECT_EQ(r.dram.activates, g.activates);
+    EXPECT_EQ(r.dram.precharges, g.precharges);
+    EXPECT_EQ(r.dram.refreshes, g.refreshes);
+    EXPECT_EQ(r.dram.data_bus_busy_cycles, g.data_bus_busy_cycles);
+    EXPECT_EQ(r.dram.total_read_latency, g.total_read_latency);
+    EXPECT_EQ(r.metadata_accesses, g.metadata_accesses);
+    ASSERT_GE(r.cores.size(), 1u);
+    EXPECT_EQ(r.cores[0].cycles, g.core0_cycles);
+    EXPECT_EQ(r.cores[0].load_stall_cycles, g.core0_load_stalls);
   }
 }
 
@@ -474,15 +432,15 @@ TEST(SimFastPathDeterminism, EpochDecoupledBitIdentical) {
   // the per-cycle serial reference, under memory pressure that keeps
   // every window-bound ingredient live: in-flight reads, queued reads
   // behind write drains, write forwarding, deferred issues, and matured
-  // completion flags. Every mem_threads setting must reproduce the
-  // reference exactly — including the per-channel stat breakdowns
-  // expect_identical covers.
+  // completion flags. The event-driven run must reproduce the reference
+  // exactly — including the per-channel stat breakdowns expect_identical
+  // covers.
   workloads::WorkloadDesc stress{
       "epoch-stress", 120.0, 400.0, 0.5, 1ull << 30,
       workloads::Pattern::kRandom, true, 11};
   std::vector<workloads::WorkloadDesc> descs{stress, *workloads::find("mcf")};
   for (const auto& desc : descs) {
-    auto run = [&](bool event_driven, unsigned mem_threads) {
+    auto run = [&](bool event_driven) {
       SystemConfig cfg;
       cfg.mem.cores = 4;
       cfg.mem.mshrs = 16;
@@ -491,18 +449,13 @@ TEST(SimFastPathDeterminism, EpochDecoupledBitIdentical) {
       cfg.geometry.channels = 4;
       cfg.data_bytes = 8ull << 30;  // four cores at 2GB trace stride
       cfg.event_driven = event_driven;
-      cfg.mem_threads = mem_threads;
       workloads::SyntheticTrace t0(desc, 0), t1(desc, 1), t2(desc, 2),
           t3(desc, 3);
       System sys(cfg, {&t0, &t1, &t2, &t3});
       return sys.run(20000, 2'000'000'000, /*warmup=*/4000);
     };
     SCOPED_TRACE(desc.name);
-    const RunResult reference = run(/*event_driven=*/false, 1);
-    for (unsigned mem_threads : {1u, 2u, 4u}) {
-      SCOPED_TRACE("mem_threads=" + std::to_string(mem_threads));
-      expect_identical(reference, run(/*event_driven=*/true, mem_threads));
-    }
+    expect_identical(run(/*event_driven=*/false), run(/*event_driven=*/true));
   }
 }
 

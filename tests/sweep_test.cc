@@ -1,5 +1,6 @@
 // Tests for the parallel sweep runner in bench/sweep.{h,cc}: ordering,
-// error propagation, and serial/parallel result equivalence.
+// error propagation, serial/parallel result equivalence, and the strict
+// env-knob parsing shared with the fuzz campaign and fleetd.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -8,10 +9,12 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <vector>
 
+#include <unistd.h>
+
 #include "../bench/sweep.h"
+#include "fuzz/campaign.h"
 
 namespace secddr::bench {
 namespace {
@@ -149,8 +152,8 @@ TEST(ThreadKnobs, EnvUnsignedRejectsMalformedValues) {
 // knob instead of running as 0 (SECDDR_INSTR=abc used to print an
 // all-zero table and exit 0).
 TEST(StrictKnobsDeathTest, MalformedRunKnobsExit2) {
-  for (const char* knob : {"SECDDR_INSTR", "SECDDR_WARMUP", "SECDDR_CORES",
-                           "SECDDR_CHANNELS", "SECDDR_MEM_THREADS"}) {
+  for (const char* knob :
+       {"SECDDR_INSTR", "SECDDR_WARMUP", "SECDDR_CORES", "SECDDR_CHANNELS"}) {
     for (const char* bad : {"abc", "12x", "-1", "", " 4", "+4"}) {
       SCOPED_TRACE(std::string(knob) + "='" + bad + "'");
       ScopedEnv e(knob, bad);
@@ -194,18 +197,51 @@ TEST(StrictKnobsDeathTest, MalformedThermalKnobsExit2) {
               "SECDDR_THERMAL_R_MK");
 }
 
+// The fuzz campaign and fleetd parse their numbers with the same strict
+// parser: SECDDR_FUZZ_TRIALS=abc used to run a 0-trial campaign that
+// reported PASS, and SECDDR_FLEET_NODES=abc aborted on an uncaught
+// exception. fleetd parses in main(), so it is exec'd as built.
+TEST(StrictKnobsDeathTest, MalformedFuzzAndFleetKnobsExit2) {
+  for (const char* knob :
+       {"SECDDR_FUZZ_TRIALS", "SECDDR_FUZZ_JOBS", "SECDDR_FUZZ_SEED"}) {
+    for (const char* bad : {"abc", "12x", "-1", "", " 4", "+4", "0x"}) {
+      SCOPED_TRACE(std::string(knob) + "='" + bad + "'");
+      ScopedEnv e(knob, bad);
+      EXPECT_EXIT(fuzz::CampaignOptions::from_env(),
+                  ::testing::ExitedWithCode(2), knob);
+    }
+  }
+  {  // 0x-hex is the seed's documented form, and only the seed's.
+    ScopedEnv seed("SECDDR_FUZZ_SEED", "0xfeed");
+    EXPECT_EQ(fuzz::CampaignOptions::from_env().seed, 0xfeedu);
+    ScopedEnv trials("SECDDR_FUZZ_TRIALS", "0x10");
+    EXPECT_EXIT(fuzz::CampaignOptions::from_env(),
+                ::testing::ExitedWithCode(2), "SECDDR_FUZZ_TRIALS");
+  }
+  for (const char* knob : {"SECDDR_FLEET_NODES", "SECDDR_FLEET_WORKERS",
+                           "SECDDR_FLEET_CKPT", "SECDDR_FLEET_CHAOS"}) {
+    SCOPED_TRACE(knob);
+    ScopedEnv e(knob, "abc");
+    EXPECT_EXIT(::execl(SECDDR_FLEETD_BIN, SECDDR_FLEETD_BIN,
+                        static_cast<char*>(nullptr)),
+                ::testing::ExitedWithCode(2), knob);
+  }
+  EXPECT_EXIT(
+      ::execl(SECDDR_FLEETD_BIN, SECDDR_FLEETD_BIN, "--chaos=abc",
+              static_cast<char*>(nullptr)),
+      ::testing::ExitedWithCode(2), "--chaos='abc'");
+}
+
 TEST(StrictKnobs, ValidValuesParse) {
   ScopedEnv i("SECDDR_INSTR", "2000");
   ScopedEnv w("SECDDR_WARMUP", "0");
   ScopedEnv c("SECDDR_CORES", "2");
   ScopedEnv ch("SECDDR_CHANNELS", "4");
-  ScopedEnv m("SECDDR_MEM_THREADS", "1");
   const BenchOptions o = BenchOptions::from_env();
   EXPECT_EQ(o.instructions, 2000u);
   EXPECT_EQ(o.warmup, 0u);
   EXPECT_EQ(o.cores, 2u);
   EXPECT_EQ(o.channels, 4u);
-  EXPECT_EQ(o.mem_threads, 1u);
 
   ScopedEnv on("SECDDR_THERMAL", "1");
   ScopedEnv win("SECDDR_THERMAL_WINDOW", "2048");
@@ -219,52 +255,6 @@ TEST(StrictKnobs, ValidValuesParse) {
   EXPECT_EQ(p.thermal.ambient_mc, -5000);
   EXPECT_TRUE(p.throttle);
   EXPECT_FALSE(p.remap);  // unset keeps the default
-}
-
-TEST(ThreadKnobs, PriorityDefaultsFollowChannelCount) {
-  ScopedEnv p("SECDDR_THREAD_PRIORITY", nullptr);
-  ScopedEnv c("SECDDR_CHANNELS", nullptr);
-  // Single channel: nothing to decouple, sweep jobs keep priority.
-  EXPECT_EQ(thread_priority(), ThreadPriority::kJobs);
-  // Multiple channels flip the default to the in-System threads.
-  ::setenv("SECDDR_CHANNELS", "4", 1);
-  EXPECT_EQ(thread_priority(), ThreadPriority::kMem);
-  // Explicit override beats the channel heuristic in both directions.
-  ::setenv("SECDDR_THREAD_PRIORITY", "jobs", 1);
-  EXPECT_EQ(thread_priority(), ThreadPriority::kJobs);
-  ::unsetenv("SECDDR_CHANNELS");
-  ::setenv("SECDDR_THREAD_PRIORITY", "mem", 1);
-  EXPECT_EQ(thread_priority(), ThreadPriority::kMem);
-  // Garbage falls back to the heuristic default.
-  ::setenv("SECDDR_THREAD_PRIORITY", "bogus", 1);
-  EXPECT_EQ(thread_priority(), ThreadPriority::kJobs);
-}
-
-TEST(ThreadKnobs, MemPriorityClampsSweepJobsNotMemThreads) {
-  ScopedEnv p("SECDDR_THREAD_PRIORITY", "mem");
-  ScopedEnv c("SECDDR_CHANNELS", "4");
-  ScopedEnv m("SECDDR_MEM_THREADS", "4");
-  ScopedEnv j("SECDDR_JOBS", "64");
-  const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-  // Under mem priority jobs yield: 64 x 4 cannot fit any machine CTest
-  // runs on, so sweep_jobs() must clamp to the share mem_threads leaves.
-  EXPECT_EQ(sweep_jobs(), std::max(1u, hw / 4));
-  // ...while mem_threads itself is bounded only by the hardware.
-  const BenchOptions o = BenchOptions::from_env();
-  EXPECT_EQ(o.mem_threads, std::min(4u, hw));
-}
-
-TEST(ThreadKnobs, JobsPriorityClampsMemThreads) {
-  ScopedEnv p("SECDDR_THREAD_PRIORITY", "jobs");
-  ScopedEnv c("SECDDR_CHANNELS", "4");
-  ScopedEnv m("SECDDR_MEM_THREADS", "64");
-  ScopedEnv j("SECDDR_JOBS", "2");
-  const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-  // Jobs keep their requested width...
-  EXPECT_EQ(sweep_jobs(), 2u);
-  // ...and mem_threads is squeezed into the share the workers leave.
-  const BenchOptions o = BenchOptions::from_env();
-  EXPECT_EQ(o.mem_threads, std::max(1u, hw / 2));
 }
 
 }  // namespace

@@ -4,7 +4,6 @@
 
 #include <set>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include "common/random.h"
@@ -213,101 +212,6 @@ TEST(MemoryBackend, DrainReadyWaitsForEveryChannel) {
   EXPECT_TRUE(backend.drain_ready());
   EXPECT_EQ(backend.dram_stats_per_channel()[0].reads_enqueued, 0u);
   EXPECT_EQ(backend.dram_stats_per_channel()[1].reads_enqueued, 1u);
-}
-
-// Threaded per-channel ticking (BackendConfig::mem_threads): the same
-// request stream must produce the identical ready-tag sequence and
-// per-channel statistics as the serial backend — the fixed channel-order
-// aggregation barrier makes the interleaving deterministic.
-TEST(MemoryBackendThreaded, TickThreadsAreBitIdenticalToSerial) {
-  const auto drive = [](unsigned mem_threads) {
-    sim::BackendConfig cfg;
-    cfg.geometry.channels = 4;
-    cfg.security = secmem::SecurityParams::secddr_ctr();
-    cfg.data_bytes = 4ull << 30;
-    cfg.mem_threads = mem_threads;
-    sim::MemoryBackend backend(cfg);
-    EXPECT_EQ(backend.mem_threads(), mem_threads);
-
-    // Reads + writes across all channels, injected over time.
-    std::vector<std::uint64_t> ready_order;
-    Cycle now = 0;
-    std::uint64_t tag = 0;
-    for (unsigned round = 0; round < 96; ++round) {
-      backend.start_read(static_cast<Addr>(round) * 3 * kLineSize, tag++,
-                         now);
-      if (round % 3 == 0)
-        backend.start_write(static_cast<Addr>(round) * 7 * kLineSize, now);
-      for (unsigned i = 0; i < 40; ++i) {
-        backend.tick(++now);
-        for (const auto& r : backend.ready()) {
-          ready_order.push_back(r.tag);
-          ready_order.push_back(r.at);
-        }
-        backend.ready().clear();
-      }
-    }
-    while (!backend.drain_ready() && now < 2'000'000) {
-      backend.tick(++now);
-      for (const auto& r : backend.ready()) {
-        ready_order.push_back(r.tag);
-        ready_order.push_back(r.at);
-      }
-      backend.ready().clear();
-    }
-    EXPECT_TRUE(backend.drain_ready());
-    auto dram = backend.dram_stats_per_channel();
-    auto engine = backend.engine_stats_per_channel();
-    return std::make_tuple(std::move(ready_order), std::move(dram),
-                           std::move(engine));
-  };
-
-  const auto serial = drive(1);
-  for (unsigned threads : {2u, 4u}) {
-    SCOPED_TRACE("mem_threads=" + std::to_string(threads));
-    const auto threaded = drive(threads);
-    EXPECT_EQ(std::get<0>(serial), std::get<0>(threaded))
-        << "ready sequence diverged";
-    const auto& ds = std::get<1>(serial);
-    const auto& dt = std::get<1>(threaded);
-    ASSERT_EQ(ds.size(), dt.size());
-    for (std::size_t c = 0; c < ds.size(); ++c) {
-      SCOPED_TRACE("channel " + std::to_string(c));
-      EXPECT_EQ(ds[c].reads_completed, dt[c].reads_completed);
-      EXPECT_EQ(ds[c].writes_completed, dt[c].writes_completed);
-      EXPECT_EQ(ds[c].row_hits, dt[c].row_hits);
-      EXPECT_EQ(ds[c].activates, dt[c].activates);
-      EXPECT_EQ(ds[c].precharges, dt[c].precharges);
-      EXPECT_EQ(ds[c].total_read_latency, dt[c].total_read_latency);
-    }
-    const auto& es = std::get<2>(serial);
-    const auto& et = std::get<2>(threaded);
-    ASSERT_EQ(es.size(), et.size());
-    for (std::size_t c = 0; c < es.size(); ++c) {
-      EXPECT_EQ(es[c].data_reads, et[c].data_reads);
-      EXPECT_EQ(es[c].counter_fetches, et[c].counter_fetches);
-      EXPECT_EQ(es[c].meta_writebacks, et[c].meta_writebacks);
-    }
-  }
-}
-
-// mem_threads is clamped to the channel count: asking for more workers
-// than channels must not spawn idle spinners.
-TEST(MemoryBackendThreaded, ThreadCountClampsToChannels) {
-  sim::BackendConfig cfg;
-  cfg.geometry.channels = 2;
-  cfg.data_bytes = 4ull << 30;
-  cfg.mem_threads = 8;
-  sim::MemoryBackend backend(cfg);
-  EXPECT_EQ(backend.mem_threads(), 2u);
-  // The clamped backend still works.
-  backend.start_read(0, 1, 0);
-  Cycle now = 0;
-  while (!backend.drain_ready() && now < 1'000'000) {
-    backend.tick(++now);
-    backend.ready().clear();
-  }
-  EXPECT_TRUE(backend.drain_ready());
 }
 
 }  // namespace
