@@ -18,6 +18,7 @@
 
 #include "fuzz/campaign.h"
 #include "fuzz/corpus.h"
+#include "json.h"
 
 using namespace secddr;
 
@@ -116,34 +117,19 @@ int main(int argc, char** argv) {
               res.coverage, res.escapes.size());
 
   // Machine-checkable trajectory record (ROADMAP: BENCH_*.json series).
-  const char* json_path = std::getenv("SECDDR_FUZZ_JSON");
-  if (!json_path) json_path = "BENCH_fuzz.json";
-  if (std::FILE* f = std::fopen(json_path, "w")) {
-    std::fprintf(f,
-                 "{\n"
-                 "  \"bench\": \"fuzz_campaign\",\n"
-                 "  \"seed\": %llu,\n"
-                 "  \"executions\": %llu,\n"
-                 "  \"execs_per_sec\": %.1f,\n"
-                 "  \"corpus\": %zu,\n"
-                 "  \"coverage\": %zu,\n"
-                 "  \"harmless\": %llu,\n"
-                 "  \"detected\": %llu,\n"
-                 "  \"corrected\": %llu,\n"
-                 "  \"accounted\": %llu,\n"
-                 "  \"escapes\": %llu\n"
-                 "}\n",
-                 static_cast<unsigned long long>(opts.seed),
-                 static_cast<unsigned long long>(res.executions),
-                 execs_per_sec, res.corpus_size, res.coverage,
-                 static_cast<unsigned long long>(res.verdicts[0]),
-                 static_cast<unsigned long long>(res.verdicts[1]),
-                 static_cast<unsigned long long>(res.verdicts[2]),
-                 static_cast<unsigned long long>(res.verdicts[3]),
-                 static_cast<unsigned long long>(res.verdicts[4]));
-    std::fclose(f);
-    std::printf("wrote %s\n", json_path);
-  }
+  bench::JsonObject json;
+  json.field("bench", "fuzz_campaign");
+  json.field("seed", opts.seed);
+  json.field("executions", res.executions);
+  json.field("execs_per_sec", execs_per_sec);
+  json.field("corpus", res.corpus_size);
+  json.field("coverage", res.coverage);
+  json.field("harmless", res.verdicts[0]);
+  json.field("detected", res.verdicts[1]);
+  json.field("corrected", res.verdicts[2]);
+  json.field("accounted", res.verdicts[3]);
+  json.field("escapes", res.verdicts[4]);
+  bench::write_json("SECDDR_FUZZ_JSON", "BENCH_fuzz.json", json.done());
 
   if (!res.clean()) {
     std::fprintf(stderr,

@@ -23,6 +23,7 @@
 //   SECDDR_THERMAL_RELEASE_MC throttle release point, milli-C (83000)
 //   SECDDR_THERMAL_PERIOD     throttled issue period, cycles (4)
 //   SECDDR_THERMAL_REMAP      1 enables temperature-aware bank remapping
+// The on/off knobs take exactly "0" or "1"; any other value exits 2.
 //
 // Parallelism is across Systems only: SECDDR_JOBS (sweep.h) runs one
 // System per sweep worker, and every System ticks its channels serially.
@@ -34,9 +35,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -49,18 +48,6 @@
 #include "workloads/workload.h"
 
 namespace secddr::bench {
-
-/// Positive-integer env knob for thread counts; `fallback` (with a
-/// warning) when unset or malformed.
-inline unsigned env_unsigned(const char* name, unsigned fallback) {
-  const char* s = std::getenv(name);
-  if (s == nullptr) return fallback;
-  const std::optional<unsigned> v = parse_decimal<unsigned>(s);
-  if (v && *v >= 1) return *v;
-  std::fprintf(stderr, "%s='%s' is not a positive integer; using default\n",
-               name, s);
-  return fallback;
-}
 
 struct BenchOptions {
   std::uint64_t instructions = 150000;
@@ -94,11 +81,10 @@ struct BenchOptions {
 
 /// Power/thermal config from the SECDDR_THERMAL* environment knobs (see
 /// the header comment). Disabled (all-default PowerConfig) unless
-/// SECDDR_THERMAL is set to something other than "0".
+/// SECDDR_THERMAL=1.
 inline dram::PowerConfig thermal_config_from_env() {
   dram::PowerConfig p;
-  const char* on = std::getenv("SECDDR_THERMAL");
-  if (on == nullptr || std::strcmp(on, "0") == 0) return p;
+  if (!env_flag("SECDDR_THERMAL", false)) return p;
   p.enabled = true;
   p.window_cycles = env_integer("SECDDR_THERMAL_WINDOW", p.window_cycles);
   p.thermal.r_mk_per_w =
@@ -107,12 +93,12 @@ inline dram::PowerConfig thermal_config_from_env() {
       env_integer("SECDDR_THERMAL_C_NJ", p.thermal.c_nj_per_k);
   p.thermal.ambient_mc =
       env_integer("SECDDR_THERMAL_AMBIENT_MC", p.thermal.ambient_mc);
-  p.throttle = env_integer<std::uint64_t>("SECDDR_THERMAL_THROTTLE", 0) != 0;
+  p.throttle = env_flag("SECDDR_THERMAL_THROTTLE", p.throttle);
   p.trip_mc = env_integer("SECDDR_THERMAL_TRIP_MC", p.trip_mc);
   p.release_mc = env_integer("SECDDR_THERMAL_RELEASE_MC", p.release_mc);
   p.throttle_period =
       env_integer("SECDDR_THERMAL_PERIOD", p.throttle_period);
-  p.remap = env_integer<std::uint64_t>("SECDDR_THERMAL_REMAP", 0) != 0;
+  p.remap = env_flag("SECDDR_THERMAL_REMAP", p.remap);
   return p;
 }
 

@@ -30,10 +30,12 @@
 
 #include "common/table.h"
 #include "harness.h"
+#include "json.h"
 #include "sweep.h"
 
 using namespace secddr;
 using bench::BenchOptions;
+using bench::JsonObject;
 using secmem::SecurityParams;
 
 namespace {
@@ -49,7 +51,7 @@ struct ModeResult {
 /// Runs the sweep in one loop mode.
 ModeResult run_mode(const std::vector<bench::SweepPoint>& points,
                     const BenchOptions& opt, bool event_driven) {
-  const bool per_point = std::getenv("SECDDR_SPEED_PER_POINT") != nullptr;
+  const bool per_point = env_flag("SECDDR_SPEED_PER_POINT", false);
   std::atomic<std::uint64_t> epochs{0}, epoch_cycles{0};
   const auto t0 = std::chrono::steady_clock::now();
   const auto results = bench::sweep_map(
@@ -103,33 +105,6 @@ double mean_window(const ModeResult& m) {
                             static_cast<double>(m.epochs)
                       : 0.0;
 }
-
-/// Minimal JSON assembly: every value this bench emits is a number or a
-/// C-identifier-ish name, so string building suffices.
-struct JsonObject {
-  std::string body;
-  void field(const char* key, double v) {
-    add(key, TablePrinter::num(v, 6));
-  }
-  void field(const char* key, std::uint64_t v) {
-    add(key, std::to_string(v));
-  }
-  void field(const char* key, unsigned v) { add(key, std::to_string(v)); }
-  void field(const char* key, const std::string& v) {
-    add(key, "\"" + v + "\"");
-  }
-  void raw(const char* key, const std::string& v) { add(key, v); }
-  std::string done() const { return "{" + body + "}"; }
-
- private:
-  void add(const char* key, const std::string& v) {
-    if (!body.empty()) body += ",";
-    body += "\"";
-    body += key;
-    body += "\":";
-    body += v;
-  }
-};
 
 JsonObject mode_json(const ModeResult& m) {
   JsonObject o;
@@ -296,36 +271,21 @@ int main() {
   if (scan_regressed) return 1;
 
   // Machine-checkable perf trajectory (see file comment).
-  const char* json_env = std::getenv("SECDDR_SPEED_JSON");
-  const std::string json_path = json_env ? json_env : "BENCH_speed.json";
-  if (!json_path.empty()) {
-    JsonObject root;
-    root.field("bench", std::string("speed"));
-    root.field("instructions", opt.instructions);
-    root.field("warmup", opt.warmup);
-    root.field("cores", opt.cores);
-    root.field("sweep_points", static_cast<std::uint64_t>(points.size()));
-    root.field("hardware_concurrency",
-               static_cast<unsigned>(std::thread::hardware_concurrency()));
-    if (run_slow && run_fast) {
-      JsonObject loop;
-      loop.raw("per_cycle", mode_json(slow).done());
-      loop.raw("event_driven", mode_json(fast).done());
-      loop.field("speedup", fast.wall_s > 0 ? slow.wall_s / fast.wall_s : 0.0);
-      root.raw("loop", loop.done());
-    }
-    std::string chans = "[";
-    for (std::size_t i = 0; i < chan_json.size(); ++i)
-      chans += (i ? "," : "") + chan_json[i];
-    root.raw("channel_scaling", chans + "]");
-    if (std::FILE* f = std::fopen(json_path.c_str(), "w")) {
-      const std::string out = root.done();
-      std::fprintf(f, "%s\n", out.c_str());
-      std::fclose(f);
-      std::printf("\nwrote %s\n", json_path.c_str());
-    } else {
-      std::fprintf(stderr, "WARN: could not write %s\n", json_path.c_str());
-    }
+  JsonObject root;
+  root.field("bench", "speed");
+  root.field("instructions", opt.instructions);
+  root.field("warmup", opt.warmup);
+  root.field("cores", opt.cores);
+  root.field("sweep_points", points.size());
+  root.field("hardware_concurrency", std::thread::hardware_concurrency());
+  if (run_slow && run_fast) {
+    JsonObject loop;
+    loop.raw("per_cycle", mode_json(slow).done());
+    loop.raw("event_driven", mode_json(fast).done());
+    loop.field("speedup", fast.wall_s > 0 ? slow.wall_s / fast.wall_s : 0.0);
+    root.raw("loop", loop.done());
   }
+  root.raw("channel_scaling", bench::json_array(chan_json));
+  bench::write_json("SECDDR_SPEED_JSON", "BENCH_speed.json", root.done());
   return 0;
 }

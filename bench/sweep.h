@@ -29,10 +29,15 @@ struct SweepPoint {
 };
 
 /// Worker count for bench sweeps: SECDDR_JOBS if set, else hardware
-/// concurrency.
+/// concurrency. A malformed value or 0 exits 2 naming the knob.
 inline unsigned sweep_jobs() {
-  return env_unsigned("SECDDR_JOBS",
-                      std::max(1u, std::thread::hardware_concurrency()));
+  const unsigned jobs = env_integer(
+      "SECDDR_JOBS", std::max(1u, std::thread::hardware_concurrency()));
+  if (jobs == 0) {
+    std::fprintf(stderr, "SECDDR_JOBS=0: need at least one worker\n");
+    std::exit(2);
+  }
+  return jobs;
 }
 
 /// Runs `fn(0) .. fn(n-1)` on a pool of `jobs` threads. `jobs <= 1` runs

@@ -19,43 +19,20 @@
 // the same machine-checkable shape as BENCH_speed.json.
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
 #include "common/table.h"
 #include "harness.h"
+#include "json.h"
 #include "sweep.h"
 
 using namespace secddr;
 using bench::BenchOptions;
+using bench::JsonObject;
 using secmem::SecurityParams;
 
 namespace {
-
-/// Minimal JSON assembly (same idiom as bench/speed.cc).
-struct JsonObject {
-  std::string body;
-  void field(const char* key, double v) { add(key, TablePrinter::num(v, 6)); }
-  void field(const char* key, std::uint64_t v) { add(key, std::to_string(v)); }
-  void field(const char* key, unsigned v) { add(key, std::to_string(v)); }
-  void field(const char* key, bool v) { add(key, v ? "true" : "false"); }
-  void field(const char* key, const std::string& v) {
-    add(key, "\"" + v + "\"");
-  }
-  void raw(const char* key, const std::string& v) { add(key, v); }
-  std::string done() const { return "{" + body + "}"; }
-
- private:
-  void add(const char* key, const std::string& v) {
-    if (!body.empty()) body += ",";
-    body += "\"";
-    body += key;
-    body += "\":";
-    body += v;
-  }
-};
 
 sim::RunResult run_with_power(const workloads::WorkloadDesc& wl,
                               const SecurityParams& sec,
@@ -164,14 +141,14 @@ int main() {
                      TablePrinter::num(e.dynamic_frac, 3),
                      identical ? "yes" : "NO"});
       JsonObject o;
-      o.field("workload", std::string(wl_name));
-      o.field("security", std::string(c.name));
+      o.field("workload", wl_name);
+      o.field("security", c.name);
       o.field("energy_mj", e.energy_mj);
       o.field("avg_power_w", e.avg_power_w);
       o.field("peak_c", e.peak_c);
       o.field("dynamic_frac", e.dynamic_frac);
       o.field("windows", e.windows);
-      o.field("cycles", static_cast<std::uint64_t>(powered.cycles));
+      o.field("cycles", powered.cycles);
       o.field("total_ipc", powered.total_ipc);
       o.field("identical", identical);
       envelope_json.push_back(o.done());
@@ -247,38 +224,23 @@ int main() {
                         static_cast<double>(unthrottled.cycles)
                   : 0.0);
 
-  const char* json_env = std::getenv("SECDDR_THERMAL_JSON");
-  const std::string json_path = json_env ? json_env : "BENCH_thermal.json";
-  if (!json_path.empty()) {
-    JsonObject root;
-    root.field("bench", std::string("thermal"));
-    root.field("instructions", opt.instructions);
-    root.field("warmup", opt.warmup);
-    root.field("cores", opt.cores);
-    root.field("window_cycles", accounting.window_cycles);
-    std::string env = "[";
-    for (std::size_t i = 0; i < envelope_json.size(); ++i)
-      env += (i ? "," : "") + envelope_json[i];
-    root.raw("envelope", env + "]");
-    JsonObject th;
-    th.field("trip_mc", static_cast<std::uint64_t>(demo.trip_mc));
-    th.field("c_nj_per_k", demo.thermal.c_nj_per_k);
-    th.field("throttle_period", demo.throttle_period);
-    th.field("unthrottled_cycles", static_cast<std::uint64_t>(
-                                       unthrottled.cycles));
-    th.field("throttled_cycles", static_cast<std::uint64_t>(throttled.cycles));
-    th.field("throttled_windows", et.throttled_windows);
-    th.field("windows", et.windows);
-    th.field("peak_c", et.peak_c);
-    root.raw("throttle_demo", th.done());
-    if (std::FILE* f = std::fopen(json_path.c_str(), "w")) {
-      const std::string out = root.done();
-      std::fprintf(f, "%s\n", out.c_str());
-      std::fclose(f);
-      std::printf("\nwrote %s\n", json_path.c_str());
-    } else {
-      std::fprintf(stderr, "WARN: could not write %s\n", json_path.c_str());
-    }
-  }
+  JsonObject root;
+  root.field("bench", "thermal");
+  root.field("instructions", opt.instructions);
+  root.field("warmup", opt.warmup);
+  root.field("cores", opt.cores);
+  root.field("window_cycles", accounting.window_cycles);
+  root.raw("envelope", bench::json_array(envelope_json));
+  JsonObject th;
+  th.field("trip_mc", demo.trip_mc);
+  th.field("c_nj_per_k", demo.thermal.c_nj_per_k);
+  th.field("throttle_period", demo.throttle_period);
+  th.field("unthrottled_cycles", unthrottled.cycles);
+  th.field("throttled_cycles", throttled.cycles);
+  th.field("throttled_windows", et.throttled_windows);
+  th.field("windows", et.windows);
+  th.field("peak_c", et.peak_c);
+  root.raw("throttle_demo", th.done());
+  bench::write_json("SECDDR_THERMAL_JSON", "BENCH_thermal.json", root.done());
   return 0;
 }

@@ -116,8 +116,9 @@ done
 if [[ "${SECDDR_CI_SANITIZE:-0}" == "1" ]]; then
   # unit + trace + fuzz: the corruption battery (including the
   # single-byte-flip smoke) and the adversarial fault injector must be
-  # clean under ASan/UBSan, not just throw nicely. The fuzz campaigns in
-  # that label are already CI-bounded (well under the 10k bench run).
+  # clean under ASan/UBSan, not just throw nicely (CMake makes UBSan
+  # fatal, so a report fails its test). The fuzz campaigns in that label
+  # are already CI-bounded (well under the 10k bench run).
   CTEST_ARGS=(-L 'unit|trace|fuzz|power')
   run_matrix Debug build-ci-asan -DSECDDR_SANITIZE=address,undefined
   # ThreadSanitizer over the threads that exist — all of them across

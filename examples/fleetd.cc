@@ -41,6 +41,7 @@
 #include "fleet/coordinator.h"
 #include "fleet/shard.h"
 #include "../bench/harness.h"
+#include "../bench/json.h"
 
 using namespace secddr;
 
@@ -71,15 +72,6 @@ fleet::NodeConfig make_node(unsigned i, const bench::BenchOptions& opt) {
   return n;
 }
 
-std::string json_hist(const std::vector<std::uint64_t>& h) {
-  std::string out = "[";
-  for (std::size_t i = 0; i < h.size(); ++i) {
-    if (i) out += ",";
-    out += std::to_string(h[i]);
-  }
-  return out + "]";
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -107,8 +99,7 @@ int main(int argc, char** argv) {
   const unsigned node_count = env_integer("SECDDR_FLEET_NODES", 4u);
   const unsigned workers = env_integer("SECDDR_FLEET_WORKERS", 2u);
   const Cycle ckpt_every = env_integer<Cycle>("SECDDR_FLEET_CKPT", 10'000);
-  const char* kill_env = std::getenv("SECDDR_FLEET_KILL");
-  const bool kill_hook = kill_env && std::strcmp(kill_env, "1") == 0;
+  const bool kill_hook = env_flag("SECDDR_FLEET_KILL", false);
   const char* state_env = std::getenv("SECDDR_FLEET_STATE");
   const std::string state_base = state_env ? state_env : "fleet_state";
 
@@ -175,59 +166,44 @@ int main(int argc, char** argv) {
   std::printf("recovered aggregates vs undisturbed single worker: %s\n",
               identical ? "bit-identical" : "DIVERGED");
 
-  const char* json_env = std::getenv("SECDDR_FLEET_JSON");
-  const std::string json_path = json_env ? json_env : "BENCH_fleet.json";
-  if (!json_path.empty()) {
-    std::string body = "{";
-    body += "\"bench\":\"fleet\",";
-    body += "\"nodes\":" + std::to_string(node_count) + ",";
-    body += "\"workers\":" + std::to_string(workers) + ",";
-    body += "\"checkpoint_every\":" + std::to_string(ckpt_every) + ",";
-    body += "\"kill_hook\":" + std::string(kill_hook ? "true" : "false") + ",";
-    body += "\"chaos\":" + std::string(chaos_mode ? "true" : "false") + ",";
-    if (chaos_mode)
-      body += "\"chaos_seed\":" + std::to_string(chaos_seed) + ",";
-    body += "\"respawns\":" + std::to_string(res.respawns) + ",";
-    body += "\"hung_kills\":" + std::to_string(res.hung_kills) + ",";
-    body += "\"quarantined\":" + std::to_string(res.quarantined) + ",";
-    body += "\"failures\":[";
-    for (std::size_t i = 0; i < res.failures.size(); ++i) {
-      const fleet::FailureEvent& ev = res.failures[i];
-      if (i) body += ",";
-      body += "{\"node\":" + std::to_string(ev.node) +
-              ",\"lost_cycles\":" + std::to_string(ev.lost_cycles) +
-              ",\"backoff_ms\":" + std::to_string(ev.backoff_ms) +
-              ",\"hung\":" + (ev.hung ? "true" : "false") + "}";
-    }
-    body += "],";
-    char num[64];
-    std::snprintf(num, sizeof num, "%.6f", res.total_ipc);
-    body += "\"total_ipc\":" + std::string(num) + ",";
-    body += "\"instructions\":" + std::to_string(res.instructions) + ",";
-    body += "\"dram_reads_completed\":" +
-            std::to_string(res.dram_reads_completed) + ",";
-    body += "\"engine_meta_reads\":" +
-            std::to_string(res.engine_meta_reads) + ",";
-    body += "\"ipc_hist\":" + json_hist(res.ipc_hist) + ",";
-    body += "\"latency_hist\":" + json_hist(res.latency_hist) + ",";
-    body += "\"bit_identical\":" + std::string(identical ? "true" : "false");
-    body += ",\"per_node\":[";
-    for (std::size_t i = 0; i < res.per_node.size(); ++i) {
-      if (i) body += ",";
-      std::snprintf(num, sizeof num, "%.6f", res.per_node[i].total_ipc);
-      body += "{\"name\":\"" + res.names[i] + "\",\"total_ipc\":" + num +
-              ",\"status\":\"" +
-              fleet::node_status_name(res.status[i]) + "\"}";
-    }
-    body += "]}";
-    if (std::FILE* f = std::fopen(json_path.c_str(), "w")) {
-      std::fprintf(f, "%s\n", body.c_str());
-      std::fclose(f);
-      std::printf("wrote %s\n", json_path.c_str());
-    } else {
-      std::fprintf(stderr, "fleetd: cannot write %s\n", json_path.c_str());
-    }
+  bench::JsonObject root;
+  root.field("bench", "fleet");
+  root.field("nodes", node_count);
+  root.field("workers", workers);
+  root.field("checkpoint_every", ckpt_every);
+  root.field("kill_hook", kill_hook);
+  root.field("chaos", chaos_mode);
+  if (chaos_mode) root.field("chaos_seed", chaos_seed);
+  root.field("respawns", res.respawns);
+  root.field("hung_kills", res.hung_kills);
+  root.field("quarantined", res.quarantined);
+  std::vector<std::string> failures;
+  for (const fleet::FailureEvent& ev : res.failures) {
+    bench::JsonObject o;
+    o.field("node", ev.node);
+    o.field("lost_cycles", ev.lost_cycles);
+    o.field("backoff_ms", ev.backoff_ms);
+    o.field("hung", ev.hung);
+    failures.push_back(o.done());
   }
+  root.raw("failures", bench::json_array(failures));
+  root.field("total_ipc", res.total_ipc);
+  root.field("instructions", res.instructions);
+  root.field("dram_reads_completed", res.dram_reads_completed);
+  root.field("engine_meta_reads", res.engine_meta_reads);
+  root.raw("ipc_hist", bench::json_array(res.ipc_hist));
+  root.raw("latency_hist", bench::json_array(res.latency_hist));
+  root.field("bit_identical", identical);
+  std::vector<std::string> per_node;
+  for (std::size_t i = 0; i < res.per_node.size(); ++i) {
+    bench::JsonObject o;
+    o.field("name", res.names[i]);
+    o.field("total_ipc", res.per_node[i].total_ipc);
+    o.field("status", fleet::node_status_name(res.status[i]));
+    per_node.push_back(o.done());
+  }
+  root.raw("per_node", bench::json_array(per_node));
+  bench::write_json("SECDDR_FLEET_JSON", "BENCH_fleet.json", root.done());
 
   if (!identical) {
     std::fprintf(stderr,

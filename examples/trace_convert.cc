@@ -21,6 +21,7 @@
 #include <string>
 #include <vector>
 
+#include "common/env.h"
 #include "common/random.h"
 #include "sim/file_trace.h"
 #include "sim/stream_trace.h"
@@ -171,8 +172,8 @@ int main(int argc, char** argv) {
     if (args.size() == 2 && args[0] == "--stats") return stats(args[1]);
     std::uint32_t block_records = secddr::sim::trace_codec::kDefaultBlockRecords;
     if (args.size() == 4 && args[2] == "--block-records") {
-      block_records = static_cast<std::uint32_t>(
-          std::strtoul(args[3].c_str(), nullptr, 10));
+      block_records = secddr::parse_or_exit<std::uint32_t>("--block-records",
+                                                           args[3].c_str());
       if (block_records == 0) return usage();
       args.resize(2);
     }

@@ -16,6 +16,8 @@
 
 #include <cstdint>
 
+#include "common/serial.h"
+
 namespace secddr::analysis {
 
 /// Per-operation energies in femtojoules at rank granularity.
@@ -27,7 +29,13 @@ struct DramEnergyParams {
   std::uint64_t ref_fj = 850'000'000;  ///< per-rank REFRESH (tRFC)
   /// Standby + leakage per rank per memory-clock cycle.
   std::uint64_t background_fj_per_cycle = 300'000;
+
+  static auto fields(auto& p) {
+    return std::tie(p.act_fj, p.pre_fj, p.rd_fj, p.wr_fj, p.ref_fj,
+                    p.background_fj_per_cycle);
+  }
 };
+static_assert(serial::lists_all_fields<DramEnergyParams>());
 
 /// DRAM commands issued to one rank during one accounting window.
 struct CommandCounts {
@@ -37,15 +45,15 @@ struct CommandCounts {
   std::uint64_t wr = 0;
   std::uint64_t ref = 0;
 
+  static auto fields(auto& c) {
+    return std::tie(c.act, c.pre, c.rd, c.wr, c.ref);
+  }
+
   CommandCounts& operator+=(const CommandCounts& o) {
-    act += o.act;
-    pre += o.pre;
-    rd += o.rd;
-    wr += o.wr;
-    ref += o.ref;
-    return *this;
+    return serial::accumulate(*this, o);
   }
 };
+static_assert(serial::lists_all_fields<CommandCounts>());
 
 /// Window energy split by source (fJ).
 struct EnergyBreakdown {
@@ -61,16 +69,16 @@ struct EnergyBreakdown {
   }
   std::uint64_t dynamic_fj() const { return total_fj() - background_fj; }
 
+  static auto fields(auto& e) {
+    return std::tie(e.act_fj, e.pre_fj, e.rd_fj, e.wr_fj, e.ref_fj,
+                    e.background_fj);
+  }
+
   EnergyBreakdown& operator+=(const EnergyBreakdown& o) {
-    act_fj += o.act_fj;
-    pre_fj += o.pre_fj;
-    rd_fj += o.rd_fj;
-    wr_fj += o.wr_fj;
-    ref_fj += o.ref_fj;
-    background_fj += o.background_fj;
-    return *this;
+    return serial::accumulate(*this, o);
   }
 };
+static_assert(serial::lists_all_fields<EnergyBreakdown>());
 
 /// Pure integer counts -> energy mapping (no state).
 class EnergyModel {

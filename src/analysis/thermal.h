@@ -25,6 +25,8 @@
 
 #include <cstdint>
 
+#include "common/serial.h"
+
 namespace secddr::analysis {
 
 /// RC parameters for one rank node. Defaults model a DRAM device on a
@@ -34,7 +36,12 @@ struct ThermalParams {
   std::uint32_t r_mk_per_w = 4000;         ///< resistance, milli-Kelvin per W
   std::uint64_t c_nj_per_k = 100'000'000;  ///< capacitance, nanojoule per K
   std::int64_t ambient_mc = 45'000;        ///< ambient, milli-degrees C
+
+  static auto fields(auto& p) {
+    return std::tie(p.r_mk_per_w, p.c_nj_per_k, p.ambient_mc);
+  }
 };
+static_assert(serial::lists_all_fields<ThermalParams>());
 
 /// One rank's transient temperature state. The step constants (alpha,
 /// gain) are derived from config at construction and never serialized;

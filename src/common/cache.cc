@@ -129,10 +129,7 @@ void SetAssocCache::save(serial::Sink& s) const {
   for (const std::uint32_t v : valid_) s.u32(v);
   for (const std::uint32_t d : dirty_) s.u32(d);
   s.u64(lru_clock_);
-  s.u64(stats_.accesses);
-  s.u64(stats_.misses);
-  s.u64(stats_.evictions);
-  s.u64(stats_.dirty_evictions);
+  serial::put(s, stats_);
 }
 
 void SetAssocCache::load(serial::Source& s) {
@@ -143,10 +140,7 @@ void SetAssocCache::load(serial::Source& s) {
   for (std::uint32_t& v : valid_) v = s.u32();
   for (std::uint32_t& d : dirty_) d = s.u32();
   lru_clock_ = s.u64();
-  stats_.accesses = s.u64();
-  stats_.misses = s.u64();
-  stats_.evictions = s.u64();
-  stats_.dirty_evictions = s.u64();
+  serial::get(s, stats_);
 }
 
 }  // namespace secddr

@@ -24,7 +24,12 @@ struct CacheStats {
                           static_cast<double>(accesses)
                     : 0.0;
   }
+
+  static auto fields(auto& s) {
+    return std::tie(s.accesses, s.misses, s.evictions, s.dirty_evictions);
+  }
 };
+static_assert(serial::lists_all_fields<CacheStats>());
 
 /// Tag-store cache. All addresses are byte addresses; lines are 64B.
 class SetAssocCache {

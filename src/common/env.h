@@ -1,6 +1,6 @@
-// Strict integer parsing for SECDDR_* environment knobs, shared by the
-// bench harness, the fuzz campaign and fleetd: a malformed value names
-// the knob and exits 2, so a typo never runs as a silent 0.
+// Strict parsing for SECDDR_* environment knobs, shared by the bench
+// harness, the fuzz campaign, fleetd and trace_convert: a malformed
+// value names the knob and exits 2, so a typo never runs as a silent 0.
 #pragma once
 
 #include <charconv>
@@ -60,6 +60,18 @@ template <typename T>
 T env_integer(const char* name, T fallback, bool hex_ok = false) {
   const char* s = std::getenv(name);
   return s == nullptr ? fallback : parse_or_exit<T>(name, s, hex_ok);
+}
+
+/// 0/1 env knob: `fallback` when unset, else exactly "0" or "1"; any
+/// other value ("", "yes", "2") prints "<name>='<s>' is not 0 or 1" and
+/// exits 2.
+inline bool env_flag(const char* name, bool fallback) {
+  const char* s = std::getenv(name);
+  if (s == nullptr) return fallback;
+  if (std::strcmp(s, "0") == 0) return false;
+  if (std::strcmp(s, "1") == 0) return true;
+  std::fprintf(stderr, "%s='%s' is not 0 or 1\n", name, s);
+  std::exit(2);
 }
 
 }  // namespace secddr

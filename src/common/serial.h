@@ -11,12 +11,29 @@
 // count; the checkpoint codec catches and rewraps it with file/offset
 // context. Doubles travel as their IEEE-754 bit patterns, so restored
 // statistics are bit-identical, not merely close.
+//
+// Config and stats structs name their members once, in declaration
+// order, as a static field list beside the declaration:
+//
+//   static auto fields(auto& self) { return std::tie(self.a, self.b); }
+//
+// put/get (serialization) and accumulate (field-wise +=) walk that list,
+// and `static_assert(serial::lists_all_fields<T>())` after the struct
+// compares it with the aggregate's member count, so a new member that is
+// not listed fails the build. The list's return type is deduced, so it
+// must be declared before any member function that calls it. Wire
+// widths: bool -> b, enum -> u8, 32-bit unsigned -> u32, uint64_t ->
+// u64, int64_t -> i64, double -> f64, std::vector -> u64 count then the
+// elements; a listed struct recurses into its fields.
 #pragma once
 
 #include <bit>
 #include <cstdint>
 #include <cstring>
 #include <stdexcept>
+#include <tuple>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 namespace secddr::serial {
@@ -105,5 +122,109 @@ class Source {
   const std::uint8_t* p_;
   const std::uint8_t* end_;
 };
+
+/// A struct with a field list (see the file comment).
+template <typename T>
+concept Listed = requires(T& v) { T::fields(v); };
+
+namespace detail {
+
+/// Converts to any member type, so brace-initializing an aggregate with
+/// N of these compiles exactly when it has at least N members.
+struct AnyMember {
+  template <typename T>
+  operator T() const;
+};
+
+template <typename T, typename... Probe>
+consteval std::size_t member_count() {
+  if constexpr (requires { T{Probe{}..., AnyMember{}}; })
+    return member_count<T, Probe..., AnyMember>();
+  else
+    return sizeof...(Probe);
+}
+
+template <typename T>
+inline constexpr bool is_vector = false;
+template <typename T, typename A>
+inline constexpr bool is_vector<std::vector<T, A>> = true;
+
+template <typename T>
+inline constexpr bool is_u32 =
+    std::is_unsigned_v<T> && !std::is_same_v<T, bool> && sizeof(T) == 4;
+
+}  // namespace detail
+
+/// True when T's field list names all but `unlisted` of its members.
+template <Listed T>
+consteval bool lists_all_fields(std::size_t unlisted = 0) {
+  using List = decltype(T::fields(std::declval<T&>()));
+  return std::tuple_size_v<List> + unlisted == detail::member_count<T>();
+}
+
+template <typename T>
+void put(Sink& s, const T& v) {
+  if constexpr (std::is_same_v<T, bool>) {
+    s.b(v);
+  } else if constexpr (std::is_enum_v<T>) {
+    s.u8(static_cast<std::uint8_t>(v));
+  } else if constexpr (detail::is_u32<T>) {
+    s.u32(v);
+  } else if constexpr (std::is_same_v<T, std::uint64_t>) {
+    s.u64(v);
+  } else if constexpr (std::is_same_v<T, std::int64_t>) {
+    s.i64(v);
+  } else if constexpr (std::is_same_v<T, double>) {
+    s.f64(v);
+  } else if constexpr (detail::is_vector<T>) {
+    s.u64(v.size());
+    for (const auto& e : v) put(s, e);
+  } else {
+    std::apply([&s](const auto&... f) { (put(s, f), ...); }, T::fields(v));
+  }
+}
+
+/// Bytes put() writes for a default T: the least any T can occupy, which
+/// bounds a vector's element count against the bytes left.
+template <typename T>
+std::size_t min_put_bytes() {
+  Sink s;
+  put(s, T{});
+  return s.size();
+}
+
+template <typename T>
+void get(Source& s, T& v) {
+  if constexpr (std::is_same_v<T, bool>) {
+    v = s.b();
+  } else if constexpr (std::is_enum_v<T>) {
+    v = static_cast<T>(s.u8());
+  } else if constexpr (detail::is_u32<T>) {
+    v = s.u32();
+  } else if constexpr (std::is_same_v<T, std::uint64_t>) {
+    v = s.u64();
+  } else if constexpr (std::is_same_v<T, std::int64_t>) {
+    v = s.i64();
+  } else if constexpr (std::is_same_v<T, double>) {
+    v = s.f64();
+  } else if constexpr (detail::is_vector<T>) {
+    using E = typename T::value_type;
+    v.assign(s.count(min_put_bytes<E>()), E{});
+    for (E& e : v) get(s, e);
+  } else {
+    std::apply([&s](auto&... f) { (get(s, f), ...); }, T::fields(v));
+  }
+}
+
+/// Field-wise `a += b` (per-channel stats aggregation).
+template <Listed T>
+T& accumulate(T& a, const T& b) {
+  std::apply(
+      [&b](auto&... x) {
+        std::apply([&](const auto&... y) { ((x += y), ...); }, T::fields(b));
+      },
+      T::fields(a));
+  return a;
+}
 
 }  // namespace secddr::serial

@@ -13,6 +13,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/serial.h"
 #include "common/types.h"
 #include "core/bus.h"
 #include "core/dimm.h"
@@ -49,7 +50,13 @@ struct ControllerStats {
   std::uint64_t violations() const {
     return mac_mismatches + write_alerts + dropped_responses;
   }
+
+  static auto fields(auto& s) {
+    return std::tie(s.reads, s.writes, s.activates, s.mac_mismatches,
+                    s.write_alerts, s.dropped_responses);
+  }
 };
+static_assert(serial::lists_all_fields<ControllerStats>());
 
 class MemoryController {
  public:

@@ -895,30 +895,15 @@ void Controller::save(serial::Sink& s) const {
   // the queues below are read back.
   if (power_on_) {
     s.u64(power_window_start_);
-    for (const analysis::CommandCounts& c : window_counts_) {
-      s.u64(c.act);
-      s.u64(c.pre);
-      s.u64(c.rd);
-      s.u64(c.wr);
-      s.u64(c.ref);
-    }
+    for (const analysis::CommandCounts& c : window_counts_) serial::put(s, c);
     for (const std::uint64_t a : bank_activity_) s.u64(a);
     for (unsigned r = 0; r < geometry_.ranks; ++r) {
       s.i64(thermal_[r].temp_q16());
       s.i64(thermal_[r].peak_q16());
       s.u64(rank_energy_fj_[r]);
     }
-    s.u64(energy_total_.act_fj);
-    s.u64(energy_total_.pre_fj);
-    s.u64(energy_total_.rd_fj);
-    s.u64(energy_total_.wr_fj);
-    s.u64(energy_total_.ref_fj);
-    s.u64(energy_total_.background_fj);
-    s.u64(counts_total_.act);
-    s.u64(counts_total_.pre);
-    s.u64(counts_total_.rd);
-    s.u64(counts_total_.wr);
-    s.u64(counts_total_.ref);
+    serial::put(s, energy_total_);
+    serial::put(s, counts_total_);
     s.u64(power_windows_);
     s.u64(throttled_windows_);
     s.u64(remap_swaps_);
@@ -961,14 +946,7 @@ void Controller::save(serial::Sink& s) const {
     s.u64(fr.finish);
   }
   s.u64(inflight_min_finish_);
-  s.u64(completions_.size());
-  for (const Completion& c : completions_) {
-    s.u64(c.tag);
-    s.u64(c.addr);
-    s.b(c.is_write);
-    s.u64(c.arrival);
-    s.u64(c.finish);
-  }
+  serial::put(s, completions_);
   s.u64(bus_free_at_);
   s.b(bus_last_was_write_);
   s.u32(bus_last_rank_);
@@ -976,34 +954,14 @@ void Controller::save(serial::Sink& s) const {
   s.b(have_last_col_);
   s.u32(last_col_bg_);
   s.u32(last_col_rank_);
-  s.u64(stats_.reads_enqueued);
-  s.u64(stats_.writes_enqueued);
-  s.u64(stats_.reads_completed);
-  s.u64(stats_.writes_completed);
-  s.u64(stats_.row_hits);
-  s.u64(stats_.row_misses);
-  s.u64(stats_.activates);
-  s.u64(stats_.precharges);
-  s.u64(stats_.refreshes);
-  s.u64(stats_.write_forwards);
-  s.u64(stats_.data_bus_busy_cycles);
-  s.u64(stats_.total_read_latency);
-  s.u64(scan_stats_.issue_scans);
-  s.u64(scan_stats_.entries_visited);
-  s.u64(scan_stats_.queue_depth_sum);
-  s.u64(scan_stats_.commands_issued);
+  serial::put(s, stats_);
+  serial::put(s, scan_stats_);
 }
 
 void Controller::load(serial::Source& s) {
   if (power_on_) {
     power_window_start_ = s.u64();
-    for (analysis::CommandCounts& c : window_counts_) {
-      c.act = s.u64();
-      c.pre = s.u64();
-      c.rd = s.u64();
-      c.wr = s.u64();
-      c.ref = s.u64();
-    }
+    for (analysis::CommandCounts& c : window_counts_) serial::get(s, c);
     for (std::uint64_t& a : bank_activity_) a = s.u64();
     for (unsigned r = 0; r < geometry_.ranks; ++r) {
       const std::int64_t t_q16 = s.i64();
@@ -1011,17 +969,8 @@ void Controller::load(serial::Source& s) {
       thermal_[r].set_state(t_q16, peak_q16);
       rank_energy_fj_[r] = s.u64();
     }
-    energy_total_.act_fj = s.u64();
-    energy_total_.pre_fj = s.u64();
-    energy_total_.rd_fj = s.u64();
-    energy_total_.wr_fj = s.u64();
-    energy_total_.ref_fj = s.u64();
-    energy_total_.background_fj = s.u64();
-    counts_total_.act = s.u64();
-    counts_total_.pre = s.u64();
-    counts_total_.rd = s.u64();
-    counts_total_.wr = s.u64();
-    counts_total_.ref = s.u64();
+    serial::get(s, energy_total_);
+    serial::get(s, counts_total_);
     power_windows_ = s.u64();
     throttled_windows_ = s.u64();
     remap_swaps_ = s.u64();
@@ -1079,17 +1028,7 @@ void Controller::load(serial::Source& s) {
     inflight_reads_.push_back(fr);
   }
   inflight_min_finish_ = s.u64();
-  completions_.clear();
-  const std::size_t comps = s.count(33);
-  for (std::size_t i = 0; i < comps; ++i) {
-    Completion c;
-    c.tag = s.u64();
-    c.addr = s.u64();
-    c.is_write = s.b();
-    c.arrival = s.u64();
-    c.finish = s.u64();
-    completions_.push_back(c);
-  }
+  serial::get(s, completions_);
   bus_free_at_ = s.u64();
   bus_last_was_write_ = s.b();
   bus_last_rank_ = s.u32();
@@ -1097,22 +1036,8 @@ void Controller::load(serial::Source& s) {
   have_last_col_ = s.b();
   last_col_bg_ = s.u32();
   last_col_rank_ = s.u32();
-  stats_.reads_enqueued = s.u64();
-  stats_.writes_enqueued = s.u64();
-  stats_.reads_completed = s.u64();
-  stats_.writes_completed = s.u64();
-  stats_.row_hits = s.u64();
-  stats_.row_misses = s.u64();
-  stats_.activates = s.u64();
-  stats_.precharges = s.u64();
-  stats_.refreshes = s.u64();
-  stats_.write_forwards = s.u64();
-  stats_.data_bus_busy_cycles = s.u64();
-  stats_.total_read_latency = s.u64();
-  scan_stats_.issue_scans = s.u64();
-  scan_stats_.entries_visited = s.u64();
-  scan_stats_.queue_depth_sum = s.u64();
-  scan_stats_.commands_issued = s.u64();
+  serial::get(s, stats_);
+  serial::get(s, scan_stats_);
 
   // Re-derive everything the serialized state determines: the candidate
   // indexes (membership from FIFO + bank state; item order is

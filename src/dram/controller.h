@@ -37,7 +37,12 @@ struct Completion {
   bool is_write = false;
   Cycle arrival = 0;
   Cycle finish = 0;  ///< cycle the last data beat left the bus
+
+  static auto fields(auto& c) {
+    return std::tie(c.tag, c.addr, c.is_write, c.arrival, c.finish);
+  }
 };
+static_assert(serial::lists_all_fields<Completion>());
 
 /// Controller statistics.
 struct ControllerStats {
@@ -64,23 +69,19 @@ struct ControllerStats {
                            : 0.0;
   }
 
+  static auto fields(auto& s) {
+    return std::tie(s.reads_enqueued, s.writes_enqueued, s.reads_completed,
+                    s.writes_completed, s.row_hits, s.row_misses,
+                    s.activates, s.precharges, s.refreshes, s.write_forwards,
+                    s.data_bus_busy_cycles, s.total_read_latency);
+  }
+
   /// Accumulates another channel's counters (multi-channel aggregation).
   ControllerStats& operator+=(const ControllerStats& o) {
-    reads_enqueued += o.reads_enqueued;
-    writes_enqueued += o.writes_enqueued;
-    reads_completed += o.reads_completed;
-    writes_completed += o.writes_completed;
-    row_hits += o.row_hits;
-    row_misses += o.row_misses;
-    activates += o.activates;
-    precharges += o.precharges;
-    refreshes += o.refreshes;
-    write_forwards += o.write_forwards;
-    data_bus_busy_cycles += o.data_bus_busy_cycles;
-    total_read_latency += o.total_read_latency;
-    return *this;
+    return serial::accumulate(*this, o);
   }
 };
+static_assert(serial::lists_all_fields<ControllerStats>());
 
 /// Scheduler scan-cost accounting, kept out of ControllerStats on purpose:
 /// the per-cycle and event-driven loops run different numbers of scans, so
@@ -94,14 +95,16 @@ struct ScanStats {
                                       ///< (what a global-deque scan costs)
   std::uint64_t commands_issued = 0;  ///< scans that issued a command
 
+  static auto fields(auto& s) {
+    return std::tie(s.issue_scans, s.entries_visited, s.queue_depth_sum,
+                    s.commands_issued);
+  }
+
   ScanStats& operator+=(const ScanStats& o) {
-    issue_scans += o.issue_scans;
-    entries_visited += o.entries_visited;
-    queue_depth_sum += o.queue_depth_sum;
-    commands_issued += o.commands_issued;
-    return *this;
+    return serial::accumulate(*this, o);
   }
 };
+static_assert(serial::lists_all_fields<ScanStats>());
 
 /// Request-scheduling policy.
 enum class SchedulingPolicy {

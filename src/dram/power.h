@@ -23,6 +23,7 @@
 
 #include "analysis/energy.h"
 #include "analysis/thermal.h"
+#include "common/serial.h"
 
 namespace secddr::dram {
 
@@ -43,13 +44,25 @@ struct PowerConfig {
   std::uint64_t remap_min_windows = 8;     ///< min windows between swaps
 
   bool any_policy() const { return enabled && (throttle || remap); }
+
+  static auto fields(auto& c) {
+    return std::tie(c.enabled, c.window_cycles, c.energy, c.thermal,
+                    c.throttle, c.trip_mc, c.release_mc, c.throttle_period,
+                    c.remap, c.remap_delta_mc, c.remap_min_windows);
+  }
 };
+static_assert(serial::lists_all_fields<PowerConfig>());
 
 struct RankPowerReport {
   std::uint64_t energy_fj = 0;  ///< cumulative since last stats reset
   std::int64_t temp_mc = 0;     ///< current temperature
   std::int64_t peak_mc = 0;     ///< peak since last stats reset
+
+  static auto fields(auto& r) {
+    return std::tie(r.energy_fj, r.temp_mc, r.peak_mc);
+  }
 };
+static_assert(serial::lists_all_fields<RankPowerReport>());
 
 struct PowerReport {
   bool enabled = false;
@@ -59,6 +72,12 @@ struct PowerReport {
   std::uint64_t throttled_windows = 0;
   std::uint64_t remap_swaps = 0;
   std::vector<RankPowerReport> ranks;
+
+  static auto fields(auto& p) {
+    return std::tie(p.enabled, p.energy, p.counts, p.windows,
+                    p.throttled_windows, p.remap_swaps, p.ranks);
+  }
 };
+static_assert(serial::lists_all_fields<PowerReport>());
 
 }  // namespace secddr::dram

@@ -1,7 +1,6 @@
 #include "dram/system.h"
 
 #include <algorithm>
-#include <cmath>
 
 namespace secddr::dram {
 
@@ -9,7 +8,6 @@ DramSystem::DramSystem(const Geometry& geometry, const Timings& timings,
                        double core_clock_mhz, SchedulingPolicy policy,
                        const PowerConfig& power)
     : controller_(geometry, timings, 64, 64, policy, power),
-      core_clock_mhz_(core_clock_mhz),
       mem_khz_(static_cast<std::uint64_t>(timings.clock_mhz * 1000.0)),
       core_khz_(static_cast<std::uint64_t>(core_clock_mhz * 1000.0)) {}
 
@@ -106,12 +104,6 @@ std::vector<Completion> DramSystem::drain_completions() {
   return v;
 }
 
-Cycle DramSystem::mem_to_core(Cycle mem_cycles) const {
-  return static_cast<Cycle>(
-      std::ceil(static_cast<double>(mem_cycles) * core_clock_mhz_ /
-                (static_cast<double>(mem_khz_) / 1000.0)));
-}
-
 void DramSystem::save(serial::Sink& s) const {
   controller_.save(s);
   s.u32(gate_streak_);
@@ -120,14 +112,7 @@ void DramSystem::save(serial::Sink& s) const {
   s.u64(core_cycle_);
   s.u64(mem_cycle_);
   s.u64(accum_);
-  s.u64(out_.size());
-  for (const Completion& c : out_) {
-    s.u64(c.tag);
-    s.u64(c.addr);
-    s.b(c.is_write);
-    s.u64(c.arrival);
-    s.u64(c.finish);
-  }
+  serial::put(s, out_);
 }
 
 void DramSystem::load(serial::Source& s) {
@@ -138,17 +123,7 @@ void DramSystem::load(serial::Source& s) {
   core_cycle_ = s.u64();
   mem_cycle_ = s.u64();
   accum_ = s.u64();
-  out_.clear();
-  const std::size_t n = s.count(33);
-  for (std::size_t i = 0; i < n; ++i) {
-    Completion c;
-    c.tag = s.u64();
-    c.addr = s.u64();
-    c.is_write = s.b();
-    c.arrival = s.u64();
-    c.finish = s.u64();
-    out_.push_back(c);
-  }
+  serial::get(s, out_);
 }
 
 }  // namespace secddr::dram

@@ -74,9 +74,6 @@ class DramSystem {
   bool can_accept_read() const { return controller_.can_accept_read(); }
   bool can_accept_write() const { return controller_.can_accept_write(); }
 
-  /// Converts a memory-clock cycle count to core cycles (rounding up).
-  Cycle mem_to_core(Cycle mem_cycles) const;
-
   /// Checkpoint hooks: controller state + both clock domains (including
   /// the rational accumulator), the event-gate backoff, and the
   /// core-domain completion buffer.
@@ -108,7 +105,6 @@ class DramSystem {
 
  private:
   Controller controller_;
-  double core_clock_mhz_;
   bool event_driven_ = false;
   /// Saturation backoff for the event gate (see tick_core_cycle). The
   /// burst doubles (up to the cap) each time a full burst ends and the

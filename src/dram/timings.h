@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <string>
 
+#include "common/serial.h"
 #include "common/types.h"
 
 namespace secddr::dram {
@@ -53,7 +54,13 @@ struct Geometry {
   std::uint64_t capacity_bytes() const {
     return channels * channel_capacity_bytes();
   }
+
+  static auto fields(auto& g) {
+    return std::tie(g.channels, g.channel_interleave, g.ranks, g.bank_groups,
+                    g.banks_per_group, g.rows_per_bank, g.columns_per_row);
+  }
 };
+static_assert(serial::lists_all_fields<Geometry>());
 
 /// DRAM timing parameters in memory-clock cycles.
 struct Timings {
@@ -94,6 +101,15 @@ struct Timings {
   /// Returns a copy with the eWCRC write burst extension applied
   /// (BL8 -> BL10 on DDR4: 4 -> 5 data-bus cycles).
   Timings with_ewcrc_burst() const;
+
+  /// Every member but `name`, a label that never affects timing.
+  static auto fields(auto& t) {
+    return std::tie(t.clock_mhz, t.tCL, t.tRCD, t.tRP, t.tRAS, t.tCCD_S,
+                    t.tCCD_L, t.tCWL, t.tWTR_S, t.tWTR_L, t.tRRD_S, t.tRRD_L,
+                    t.tFAW, t.tWR, t.tRTP, t.tRFC, t.tREFI, t.turnaround,
+                    t.read_burst_cycles, t.write_burst_cycles);
+  }
 };
+static_assert(serial::lists_all_fields<Timings>(/*unlisted=*/1));
 
 }  // namespace secddr::dram

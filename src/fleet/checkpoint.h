@@ -179,12 +179,10 @@ void save_system_file(const sim::System& sys, const std::string& path);
 /// read_file + decode_system.
 void restore_system_file(sim::System& sys, const std::string& path);
 
-// --- RunResult codec ----------------------------------------------------
-// Canonical byte form of a RunResult: doubles travel as IEEE-754 bit
-// patterns, so "bit-identical results" can be asserted (and aggregates
-// compared) as plain byte equality.
-void save_result(serial::Sink& s, const sim::RunResult& r);
-sim::RunResult load_result(serial::Source& s);
+/// Canonical byte form of a RunResult (serial::put over its field list;
+/// serial::get reads it back): doubles travel as IEEE-754 bit patterns,
+/// so "bit-identical results" can be asserted (and aggregates compared)
+/// as plain byte equality.
 std::vector<std::uint8_t> encode_result(const sim::RunResult& r);
 
 }  // namespace checkpoint

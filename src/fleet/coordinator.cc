@@ -86,7 +86,7 @@ void write_frame(int fd, const std::vector<std::uint8_t>& body) {
       serial::Sink s;
       s.u8(kMsgResult);
       s.u32(node);
-      checkpoint::save_result(s, result);
+      serial::put(s, result);
       const std::vector<std::uint8_t> frame = encode_frame(s.data());
       chaos::maybe_tear_result_frame(node, fd, frame.data(), frame.size());
       (void)write_all_fd(fd, frame.data(), frame.size());
@@ -224,7 +224,7 @@ std::vector<std::uint8_t> encode_fleet(const FleetResult& r) {
     const std::string& name = r.names[i];
     s.u64(name.size());
     s.bytes(name.data(), name.size());
-    checkpoint::save_result(s, r.per_node[i]);
+    serial::put(s, r.per_node[i]);
     // Quarantine is part of the deterministic outcome (it changes the
     // aggregates); ok-vs-recovered is crash history and stays out.
     s.u8(i < r.status.size() && r.status[i] == NodeStatus::kQuarantined ? 1
@@ -364,7 +364,7 @@ FleetResult run_fleet(const std::vector<NodeConfig>& nodes,
         if (id >= nodes.size())
           throw std::runtime_error("fleet: result for unknown node");
         w.last_active = static_cast<int>(id);
-        result.per_node[id] = checkpoint::load_result(s);
+        serial::get(s, result.per_node[id]);
         have_result[id] = true;
         break;
       }

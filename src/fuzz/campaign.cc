@@ -3,7 +3,6 @@
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <sstream>
 #include <thread>
@@ -13,12 +12,6 @@
 namespace secddr::fuzz {
 
 namespace {
-
-bool env_flag(const char* name, bool fallback) {
-  const char* s = std::getenv(name);
-  if (!s || !*s) return fallback;
-  return std::strcmp(s, "0") != 0;
-}
 
 std::string hex64(std::uint64_t v) {
   char buf[19];

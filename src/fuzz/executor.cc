@@ -119,28 +119,6 @@ std::unordered_map<std::uint64_t, CacheLine> load_line_map(
   return m;
 }
 
-void save_u64_vec(serial::Sink& s, const std::vector<std::uint64_t>& v) {
-  s.u64(v.size());
-  for (const std::uint64_t x : v) s.u64(x);
-}
-
-std::vector<std::uint64_t> load_u64_vec(serial::Source& src) {
-  std::vector<std::uint64_t> v(src.count(8));
-  for (std::uint64_t& x : v) x = src.u64();
-  return v;
-}
-
-void save_i64_vec(serial::Sink& s, const std::vector<std::int64_t>& v) {
-  s.u64(v.size());
-  for (const std::int64_t x : v) s.i64(x);
-}
-
-std::vector<std::int64_t> load_i64_vec(serial::Source& src) {
-  std::vector<std::int64_t> v(src.count(8));
-  for (std::int64_t& x : v) x = src.i64();
-  return v;
-}
-
 }  // namespace
 
 const char* to_string(Verdict v) {
@@ -200,20 +178,15 @@ std::vector<std::uint8_t> Executor::master_snapshot(unsigned profile) {
   for (const auto& rank : snap.dimm.data) save_line_map(s, rank);
   s.u64(snap.dimm.macs.size());
   for (const auto& rank : snap.dimm.macs) save_u64_map(s, rank);
-  save_u64_vec(s, snap.dimm.counters);
-  save_u64_vec(s, snap.dimm.cmd_counters);
-  save_i64_vec(s, snap.dimm.open_rows);
+  serial::put(s, snap.dimm.counters);
+  serial::put(s, snap.dimm.cmd_counters);
+  serial::put(s, snap.dimm.open_rows);
   s.u64(snap.dimm.ecc_corrections);
-  save_u64_vec(s, snap.controller.counters);
-  save_u64_vec(s, snap.controller.cmd_counters);
-  save_i64_vec(s, snap.controller.open_row_mirror);
+  serial::put(s, snap.controller.counters);
+  serial::put(s, snap.controller.cmd_counters);
+  serial::put(s, snap.controller.open_row_mirror);
   save_u64_map(s, snap.controller.line_counters);
-  s.u64(snap.controller.stats.reads);
-  s.u64(snap.controller.stats.writes);
-  s.u64(snap.controller.stats.activates);
-  s.u64(snap.controller.stats.mac_mismatches);
-  s.u64(snap.controller.stats.write_alerts);
-  s.u64(snap.controller.stats.dropped_responses);
+  serial::put(s, snap.controller.stats);
   s.u64(m.pristine_ecc);
   return s.take();
 }
@@ -233,20 +206,15 @@ void Executor::set_master_snapshot(unsigned profile, const std::uint8_t* data,
   const std::size_t mac_ranks = src.count(8);
   for (std::size_t i = 0; i < mac_ranks; ++i)
     snap.dimm.macs.push_back(load_u64_map(src));
-  snap.dimm.counters = load_u64_vec(src);
-  snap.dimm.cmd_counters = load_u64_vec(src);
-  snap.dimm.open_rows = load_i64_vec(src);
+  serial::get(src, snap.dimm.counters);
+  serial::get(src, snap.dimm.cmd_counters);
+  serial::get(src, snap.dimm.open_rows);
   snap.dimm.ecc_corrections = src.u64();
-  snap.controller.counters = load_u64_vec(src);
-  snap.controller.cmd_counters = load_u64_vec(src);
-  snap.controller.open_row_mirror = load_i64_vec(src);
+  serial::get(src, snap.controller.counters);
+  serial::get(src, snap.controller.cmd_counters);
+  serial::get(src, snap.controller.open_row_mirror);
   snap.controller.line_counters = load_u64_map(src);
-  snap.controller.stats.reads = src.u64();
-  snap.controller.stats.writes = src.u64();
-  snap.controller.stats.activates = src.u64();
-  snap.controller.stats.mac_mismatches = src.u64();
-  snap.controller.stats.write_alerts = src.u64();
-  snap.controller.stats.dropped_responses = src.u64();
+  serial::get(src, snap.controller.stats);
   const std::uint64_t pristine_ecc = src.u64();
   if (!src.done())
     throw std::runtime_error("master snapshot: trailing bytes");

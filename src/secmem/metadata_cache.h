@@ -12,6 +12,15 @@
 
 namespace secddr::secmem {
 
+/// Demand lookups and their misses (the Fig. 7 miss rate).
+struct MetadataCacheStats {
+  std::uint64_t accesses = 0;
+  std::uint64_t misses = 0;
+
+  static auto fields(auto& s) { return std::tie(s.accesses, s.misses); }
+};
+static_assert(serial::lists_all_fields<MetadataCacheStats>());
+
 class MetadataCache {
  public:
   MetadataCache(std::uint64_t size_bytes = 128 * 1024, unsigned assoc = 8)
@@ -41,13 +50,11 @@ class MetadataCache {
   /// Checkpoint hooks: cache contents + demand stats.
   void save(serial::Sink& s) const {
     cache_.save(s);
-    s.u64(stats_.accesses);
-    s.u64(stats_.misses);
+    serial::put(s, stats_);
   }
   void load(serial::Source& s) {
     cache_.load(s);
-    stats_.accesses = s.u64();
-    stats_.misses = s.u64();
+    serial::get(s, stats_);
   }
 
   double miss_rate() const {
@@ -57,11 +64,11 @@ class MetadataCache {
   }
   std::uint64_t accesses() const { return stats_.accesses; }
   std::uint64_t misses() const { return stats_.misses; }
-  void reset_stats() { stats_ = CacheStats{}; }
+  void reset_stats() { stats_ = MetadataCacheStats{}; }
 
  private:
   SetAssocCache cache_;
-  CacheStats stats_;
+  MetadataCacheStats stats_;
 };
 
 }  // namespace secddr::secmem

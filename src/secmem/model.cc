@@ -446,13 +446,7 @@ void SecurityEngine::save(serial::Sink& s) const {
     s.u64(r.tag);
     s.u64(r.at);
   }
-  s.u64(stats_.data_reads);
-  s.u64(stats_.data_writes);
-  s.u64(stats_.counter_fetches);
-  s.u64(stats_.mac_line_fetches);
-  s.u64(stats_.tree_node_fetches);
-  s.u64(stats_.meta_writebacks);
-  s.u64(stats_.reads_with_tree_walk);
+  serial::put(s, stats_);
 }
 
 void SecurityEngine::load(serial::Source& s) {
@@ -515,13 +509,7 @@ void SecurityEngine::load(serial::Source& s) {
     r.at = s.u64();
     ready_.push_back(r);
   }
-  stats_.data_reads = s.u64();
-  stats_.data_writes = s.u64();
-  stats_.counter_fetches = s.u64();
-  stats_.mac_line_fetches = s.u64();
-  stats_.tree_node_fetches = s.u64();
-  stats_.meta_writebacks = s.u64();
-  stats_.reads_with_tree_walk = s.u64();
+  serial::get(s, stats_);
 }
 
 }  // namespace secddr::secmem

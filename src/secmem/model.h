@@ -52,18 +52,18 @@ struct EngineStats {
     return counter_fetches + mac_line_fetches + tree_node_fetches;
   }
 
+  static auto fields(auto& s) {
+    return std::tie(s.data_reads, s.data_writes, s.counter_fetches,
+                    s.mac_line_fetches, s.tree_node_fetches,
+                    s.meta_writebacks, s.reads_with_tree_walk);
+  }
+
   /// Accumulates another channel's counters (multi-channel aggregation).
   EngineStats& operator+=(const EngineStats& o) {
-    data_reads += o.data_reads;
-    data_writes += o.data_writes;
-    counter_fetches += o.counter_fetches;
-    mac_line_fetches += o.mac_line_fetches;
-    tree_node_fetches += o.tree_node_fetches;
-    meta_writebacks += o.meta_writebacks;
-    reads_with_tree_walk += o.reads_with_tree_walk;
-    return *this;
+    return serial::accumulate(*this, o);
   }
 };
+static_assert(serial::lists_all_fields<EngineStats>());
 
 /// See file comment. One engine instance per simulated channel.
 class SecurityEngine {

@@ -13,6 +13,8 @@
 #include <cstdint>
 #include <string>
 
+#include "common/serial.h"
+
 namespace secddr::secmem {
 
 /// Replay-attack-protection mechanism.
@@ -66,6 +68,14 @@ struct SecurityParams {
 
   std::string name;
 
+  /// Every member but `name`, a label that never affects results.
+  static auto fields(auto& p) {
+    return std::tie(p.rap, p.enc, p.tree_arity, p.counters_per_line,
+                    p.hash_tree_over_macs, p.macs_in_ecc, p.verify_mac,
+                    p.aes_latency, p.mac_latency, p.metadata_cache_bytes,
+                    p.metadata_cache_assoc, p.auth_channel_macs, p.ewcrc);
+  }
+
   // ---- Named configurations of the paper ----
   static SecurityParams baseline_tree_ctr(unsigned arity = 64,
                                           unsigned counters_per_line = 64);
@@ -77,5 +87,6 @@ struct SecurityParams {
   /// Fig. 8's 8-ary hash-based Merkle tree (AES-XTS, MACs in memory).
   static SecurityParams hash_tree8_xts();
 };
+static_assert(serial::lists_all_fields<SecurityParams>(/*unlisted=*/1));
 
 }  // namespace secddr::secmem

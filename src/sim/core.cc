@@ -257,11 +257,7 @@ void Core::save(serial::Sink& s) const {
   s.u32(pending_record_.gap);
   s.b(pending_record_.is_write);
   s.u64(pending_record_.addr);
-  s.u64(stats_.instructions);
-  s.u64(stats_.cycles);
-  s.u64(stats_.loads);
-  s.u64(stats_.stores);
-  s.u64(stats_.load_stall_cycles);
+  serial::put(s, stats_);
 }
 
 void Core::load(serial::Source& s) {
@@ -288,11 +284,7 @@ void Core::load(serial::Source& s) {
   pending_record_.gap = s.u32();
   pending_record_.is_write = s.b();
   pending_record_.addr = s.u64();
-  stats_.instructions = s.u64();
-  stats_.cycles = s.u64();
-  stats_.loads = s.u64();
-  stats_.stores = s.u64();
-  stats_.load_stall_cycles = s.u64();
+  serial::get(s, stats_);
 
   // Re-derive the trace position: the bound source starts at its first
   // record, and every source is deterministic, so consuming the same

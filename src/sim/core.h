@@ -34,7 +34,10 @@ class MemoryPort {
 struct CoreConfig {
   unsigned rob_size = 224;
   unsigned retire_width = 6;
+
+  static auto fields(auto& c) { return std::tie(c.rob_size, c.retire_width); }
 };
+static_assert(serial::lists_all_fields<CoreConfig>());
 
 struct CoreStats {
   std::uint64_t instructions = 0;
@@ -48,7 +51,13 @@ struct CoreStats {
                         static_cast<double>(cycles)
                   : 0.0;
   }
+
+  static auto fields(auto& c) {
+    return std::tie(c.instructions, c.cycles, c.loads, c.stores,
+                    c.load_stall_cycles);
+  }
 };
+static_assert(serial::lists_all_fields<CoreStats>());
 
 class Core {
  public:

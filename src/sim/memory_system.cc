@@ -261,26 +261,6 @@ bool MemorySystem::issue_blocked_for(unsigned core_id, Addr addr) const {
   return memo.blocked;
 }
 
-Cycle MemorySystem::idle_cycles() const {
-  // An engine (on any channel) retries deferred DRAM issues on every tick.
-  if (backend_.next_event_cycle(now_) != kNoEvent) return 0;
-  // A completion produced after this cycle's DRAM tick (write forwarding
-  // or merging during an engine-issued enqueue) must surface on the very
-  // next tick so its finish stamp matches the per-cycle loop.
-  if (backend_.has_undrained_completions()) return 0;
-  Cycle skip = kNoEvent;
-  // A completion flag scheduled for cycle `at` is raised by the tick that
-  // advances now_ to `at`; that tick must run (at > now_ is an invariant:
-  // matured entries are drained before this query can be called).
-  if (!done_q_.empty()) skip = done_q_.top().at - now_ - 1;
-  return std::min(skip, backend_.idle_core_cycles());
-}
-
-void MemorySystem::advance_idle(Cycle cycles) {
-  now_ += cycles;
-  backend_.advance_idle(cycles);
-}
-
 void MemorySystem::save(serial::Sink& s, const FlagEncoder& encode_flag) const {
   for (const SetAssocCache& l1 : l1s_) l1.save(s);
   llc_.save(s);
@@ -310,14 +290,7 @@ void MemorySystem::save(serial::Sink& s, const FlagEncoder& encode_flag) const {
   }
 
   s.u64(now_);
-  s.u64(stats_.l1_accesses);
-  s.u64(stats_.l1_misses);
-  s.u64(stats_.llc_demand_accesses);
-  s.u64(stats_.llc_demand_misses);
-  s.u64(stats_.llc_writebacks);
-  s.u64(stats_.prefetch_fills);
-  s.u64(stats_.llc_demand_misses_per_core.size());
-  for (const std::uint64_t v : stats_.llc_demand_misses_per_core) s.u64(v);
+  serial::put(s, stats_);
 }
 
 void MemorySystem::load(serial::Source& s, const FlagDecoder& decode_flag) {
@@ -352,16 +325,7 @@ void MemorySystem::load(serial::Source& s, const FlagDecoder& decode_flag) {
   }
 
   now_ = s.u64();
-  stats_.l1_accesses = s.u64();
-  stats_.l1_misses = s.u64();
-  stats_.llc_demand_accesses = s.u64();
-  stats_.llc_demand_misses = s.u64();
-  stats_.llc_writebacks = s.u64();
-  stats_.prefetch_fills = s.u64();
-  stats_.llc_demand_misses_per_core.clear();
-  const std::size_t npc = s.count(8);
-  for (std::size_t i = 0; i < npc; ++i)
-    stats_.llc_demand_misses_per_core.push_back(s.u64());
+  serial::get(s, stats_);
 
   // The memo is a pure accelerator: a fresh (empty) memo recomputes the
   // predicate on first query and records the identical statistics a hit

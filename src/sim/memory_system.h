@@ -32,7 +32,14 @@ struct MemConfig {
   unsigned mshrs = 64;
   bool prefetch = true;
   PrefetcherConfig prefetcher;
+
+  static auto fields(auto& c) {
+    return std::tie(c.cores, c.l1_bytes, c.l1_assoc, c.l1_latency,
+                    c.llc_bytes, c.llc_assoc, c.llc_latency, c.mshrs,
+                    c.prefetch, c.prefetcher);
+  }
 };
+static_assert(serial::lists_all_fields<MemConfig>());
 
 struct MemStats {
   std::uint64_t l1_accesses = 0;
@@ -42,7 +49,14 @@ struct MemStats {
   std::uint64_t llc_writebacks = 0;
   std::uint64_t prefetch_fills = 0;
   std::vector<std::uint64_t> llc_demand_misses_per_core;
+
+  static auto fields(auto& m) {
+    return std::tie(m.l1_accesses, m.l1_misses, m.llc_demand_accesses,
+                    m.llc_demand_misses, m.llc_writebacks, m.prefetch_fills,
+                    m.llc_demand_misses_per_core);
+  }
 };
+static_assert(serial::lists_all_fields<MemStats>());
 
 class MemorySystem final : public MemoryPort {
  public:
@@ -55,24 +69,13 @@ class MemorySystem final : public MemoryPort {
   /// Advances one core cycle (drives every channel's DRAM clock too).
   void tick();
 
-  /// Number of upcoming cycles guaranteed to be no-op ticks: no pending
-  /// load completion matures, no channel's security engine has deferred
-  /// issues to retry, and no channel's DRAM controller has an event.
-  /// kNoEvent when fully idle (cores then bound the skip).
-  Cycle idle_cycles() const;
-
-  /// Fast-forwards `cycles` ticks previously reported idle by
-  /// idle_cycles(): advances this clock and the DRAM clock domains.
-  void advance_idle(Cycle cycles);
-
   // --- epoch-decoupled execution --------------------------------------
   /// Largest number of ticks advance_window() may batch into one epoch:
   /// no channel can surface a finished read and no pending completion
   /// flag matures strictly before the window's final tick, so executing
   /// the whole window channel-locally and draining at the boundary is
-  /// bit-identical to per-cycle ticking. Always >= 1 when finite
-  /// (unlike idle_cycles(), which reports ticks that need not run at
-  /// all); kNoEvent when nothing is outstanding anywhere.
+  /// bit-identical to per-cycle ticking. Always >= 1 when finite;
+  /// kNoEvent when nothing is outstanding anywhere.
   Cycle window_bound() const;
 
   /// Runs the next `ticks` cycles as one backend epoch (`ticks` must not
@@ -104,11 +107,6 @@ class MemorySystem final : public MemoryPort {
   void reset_stats() {
     stats_ = MemStats{};
     stats_.llc_demand_misses_per_core.assign(config_.cores, 0);
-  }
-
-  /// Outstanding fills (for drain loops in tests).
-  std::size_t outstanding_fills() const {
-    return mshrs_.size() - mshr_free_.size();
   }
 
   // --- checkpoint hooks -----------------------------------------------

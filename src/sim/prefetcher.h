@@ -19,7 +19,12 @@ struct PrefetcherConfig {
   unsigned degree = 2;     ///< prefetches issued per trigger
   unsigned distance = 4;   ///< how far ahead of the demand stream
   unsigned train_threshold = 2;  ///< sequential hits before prefetching
+
+  static auto fields(auto& c) {
+    return std::tie(c.streams, c.degree, c.distance, c.train_threshold);
+  }
 };
+static_assert(serial::lists_all_fields<PrefetcherConfig>());
 
 class StreamPrefetcher {
  public:

@@ -225,87 +225,10 @@ void System::load(serial::Source& s) {
 
 std::uint64_t System::config_hash() const {
   serial::Sink s;
-  s.u32(config_.core.rob_size);
-  s.u32(config_.core.retire_width);
-  s.u32(config_.mem.cores);
-  s.u64(config_.mem.l1_bytes);
-  s.u32(config_.mem.l1_assoc);
-  s.u32(config_.mem.l1_latency);
-  s.u64(config_.mem.llc_bytes);
-  s.u32(config_.mem.llc_assoc);
-  s.u32(config_.mem.llc_latency);
-  s.u32(config_.mem.mshrs);
-  s.b(config_.mem.prefetch);
-  s.u32(config_.mem.prefetcher.streams);
-  s.u32(config_.mem.prefetcher.degree);
-  s.u32(config_.mem.prefetcher.distance);
-  s.u32(config_.mem.prefetcher.train_threshold);
-  s.f64(config_.core_mhz);
-  s.u32(config_.geometry.channels);
-  s.u8(static_cast<std::uint8_t>(config_.geometry.channel_interleave));
-  s.u32(config_.geometry.ranks);
-  s.u32(config_.geometry.bank_groups);
-  s.u32(config_.geometry.banks_per_group);
-  s.u64(config_.geometry.rows_per_bank);
-  s.u32(config_.geometry.columns_per_row);
-  s.f64(config_.timings.clock_mhz);
-  s.u32(config_.timings.tCL);
-  s.u32(config_.timings.tRCD);
-  s.u32(config_.timings.tRP);
-  s.u32(config_.timings.tRAS);
-  s.u32(config_.timings.tCCD_S);
-  s.u32(config_.timings.tCCD_L);
-  s.u32(config_.timings.tCWL);
-  s.u32(config_.timings.tWTR_S);
-  s.u32(config_.timings.tWTR_L);
-  s.u32(config_.timings.tRRD_S);
-  s.u32(config_.timings.tRRD_L);
-  s.u32(config_.timings.tFAW);
-  s.u32(config_.timings.tWR);
-  s.u32(config_.timings.tRTP);
-  s.u32(config_.timings.tRFC);
-  s.u32(config_.timings.tREFI);
-  s.u32(config_.timings.turnaround);
-  s.u32(config_.timings.read_burst_cycles);
-  s.u32(config_.timings.write_burst_cycles);
-  s.u8(static_cast<std::uint8_t>(config_.scheduling));
-  s.u8(static_cast<std::uint8_t>(config_.security.rap));
-  s.u8(static_cast<std::uint8_t>(config_.security.enc));
-  s.u32(config_.security.tree_arity);
-  s.u32(config_.security.counters_per_line);
-  s.b(config_.security.hash_tree_over_macs);
-  s.b(config_.security.macs_in_ecc);
-  s.b(config_.security.verify_mac);
-  s.u32(config_.security.aes_latency);
-  s.u32(config_.security.mac_latency);
-  s.u64(config_.security.metadata_cache_bytes);
-  s.u32(config_.security.metadata_cache_assoc);
-  s.u32(config_.security.auth_channel_macs);
-  s.b(config_.security.ewcrc);
-  s.u64(config_.data_bytes);
-  // Power/thermal block: accounting changes RunResult bytes and the
-  // policies change timing, so every field is result-affecting.
-  s.b(config_.power.enabled);
-  s.u64(config_.power.window_cycles);
-  s.u64(config_.power.energy.act_fj);
-  s.u64(config_.power.energy.pre_fj);
-  s.u64(config_.power.energy.rd_fj);
-  s.u64(config_.power.energy.wr_fj);
-  s.u64(config_.power.energy.ref_fj);
-  s.u64(config_.power.energy.background_fj_per_cycle);
-  s.u32(config_.power.thermal.r_mk_per_w);
-  s.u64(config_.power.thermal.c_nj_per_k);
-  s.i64(config_.power.thermal.ambient_mc);
-  s.b(config_.power.throttle);
-  s.i64(config_.power.trip_mc);
-  s.i64(config_.power.release_mc);
-  s.u64(config_.power.throttle_period);
-  s.b(config_.power.remap);
-  s.i64(config_.power.remap_delta_mc);
-  s.u64(config_.power.remap_min_windows);
+  serial::put(s, config_);
   std::uint64_t h = 1469598103934665603ull;  // FNV-1a 64-bit
-  for (std::size_t i = 0; i < s.size(); ++i) {
-    h ^= s.data()[i];
+  for (const std::uint8_t b : s.data()) {
+    h ^= b;
     h *= 1099511628211ull;
   }
   return h;

@@ -42,7 +42,16 @@ struct SystemConfig {
   /// accounting alone never changes timing; the throttle/remap policies
   /// do (deterministically, identically in every loop mode).
   dram::PowerConfig power;
+
+  /// The result-affecting members, which config_hash() covers: all but
+  /// event_driven (both loop modes give bit-identical results) and the
+  /// inert mem_threads.
+  static auto fields(auto& c) {
+    return std::tie(c.core, c.mem, c.core_mhz, c.geometry, c.timings,
+                    c.scheduling, c.security, c.data_bytes, c.power);
+  }
 };
+static_assert(serial::lists_all_fields<SystemConfig>(/*unlisted=*/2));
 
 struct RunResult {
   std::vector<CoreStats> cores;
@@ -63,7 +72,16 @@ struct RunResult {
   std::vector<dram::PowerReport> power_per_channel;
   /// True when any phase (warmup or measured) ran into `max_cycles`.
   bool hit_cycle_limit = false;
+
+  static auto fields(auto& r) {
+    return std::tie(r.cores, r.cycles, r.total_ipc, r.llc_mpki,
+                    r.metadata_miss_rate, r.metadata_accesses, r.mem,
+                    r.engine, r.dram, r.engine_per_channel,
+                    r.dram_per_channel, r.power_per_channel,
+                    r.hit_cycle_limit);
+  }
 };
+static_assert(serial::lists_all_fields<RunResult>());
 
 /// Owns every component and runs the simulation loop.
 ///
@@ -121,9 +139,10 @@ class System {
   /// identical config whose traces are freshly positioned at their first
   /// record. Throws std::runtime_error on any structural mismatch.
   void load(serial::Source& s);
-  /// FNV-1a hash over every result-affecting config field. Excludes
-  /// event_driven (the two loop modes are bit-identical) and cosmetic
-  /// names, so a checkpoint restores into any equivalent configuration.
+  /// FNV-1a hash over serial::put of the config, i.e. over the
+  /// SystemConfig field list: every result-affecting field, without the
+  /// loop mode or the cosmetic names, so a checkpoint restores into any
+  /// equivalent configuration.
   std::uint64_t config_hash() const;
 
   MemoryBackend& backend() { return *backend_; }

@@ -210,6 +210,10 @@ TEST(HmacKat, Rfc4231) {
        "54657374205573696e67204c6172676572205468616e20426c6f636b2d53697a"
        "65204b6579202d2048617368204b6579204669727374",
        "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54"},
+      // Empty key and message (beyond RFC 4231): the zero-length key an
+      // hkdf_extract with an empty salt passes.
+      {"", "",
+       "b613679a0814d9ec772f95d778c35fc5ff1697c493715653c6c712144292c5ad"},
   };
   for (std::size_t i = 0; i < cases.size(); ++i) {
     SCOPED_TRACE(i);

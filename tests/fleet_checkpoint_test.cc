@@ -529,6 +529,83 @@ TEST(FleetSystemCheckpoint, ConfigHashMismatchIsRejectedAtOffset16) {
   EXPECT_NE(writer.sys->config_hash(), reader.sys->config_hash());
 }
 
+/// 64-bit FNV-1a, the hash System::config_hash() applies to its bytes.
+std::uint64_t fnv1a(const std::vector<std::uint8_t>& bytes) {
+  std::uint64_t h = 1469598103934665603ull;
+  for (const std::uint8_t b : bytes) {
+    h ^= b;
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+TEST(FleetSystemCheckpoint, ConfigHashIsPinnedPerPreset) {
+  // Pinned values: a change here decides which checkpoints restore into
+  // which configs, so it must come with a checkpoint kVersion bump.
+  using secmem::Encryption;
+  using secmem::SecurityParams;
+  struct Pin {
+    SecurityParams params;
+    std::uint64_t plain;   ///< every other field at its default
+    std::uint64_t loaded;  ///< 2-ch DDR4-2400, power + throttle + remap
+  };
+  const Pin pins[] = {
+      {SecurityParams::baseline_tree_ctr(), 0x6ffb956be1ed62d8ull,
+       0x58ee76778f95618aull},
+      {SecurityParams::secddr_ctr(), 0xcdc2d9e88f6a74e8ull,
+       0x381f2bc03384a796ull},
+      {SecurityParams::encrypt_only_ctr(), 0x450f25ff85a03224ull,
+       0x373cbfc8ef3d464eull},
+      {SecurityParams::secddr_xts(), 0x1fa0c2d933f00389ull,
+       0xb1b90910f45dfbbfull},
+      {SecurityParams::encrypt_only_xts(), 0x27c9e8fb8a05d7c1ull,
+       0xb465591e42438c3bull},
+      {SecurityParams::invisimem(Encryption::kCounterMode),
+       0x4e3fe1cd35dda202ull, 0xc8b84f7a77c65c6cull},
+      {SecurityParams::hash_tree8_xts(), 0x52e467406d1dd49full,
+       0x75f2064356e6423dull},
+  };
+  const auto* desc = workloads::find("mcf");
+  ASSERT_NE(desc, nullptr);
+  for (const Pin& p : pins) {
+    SCOPED_TRACE(p.params.name);
+    sim::SystemConfig cfg;
+    cfg.security = p.params;
+    EXPECT_EQ(make_system(*desc, cfg).sys->config_hash(), p.plain);
+    cfg.geometry.channels = 2;
+    cfg.timings = dram::Timings::ddr4_2400();
+    cfg.power.enabled = true;
+    cfg.power.throttle = true;
+    cfg.power.remap = true;
+    EXPECT_EQ(make_system(*desc, cfg).sys->config_hash(), p.loaded);
+  }
+}
+
+TEST(FleetSystemCheckpoint, MidRunImageBytesArePinned) {
+  // FNV-1a of a whole mid-run checkpoint pins every component's save()
+  // layout; the power-on image adds the controllers' power blocks.
+  const auto* desc = workloads::find("mcf");
+  ASSERT_NE(desc, nullptr);
+  for (const bool power : {false, true}) {
+    SCOPED_TRACE(power ? "power on" : "power off");
+    sim::SystemConfig cfg = small_config(2, /*event_driven=*/true);
+    cfg.power.enabled = power;
+    cfg.power.window_cycles = 256;
+    cfg.power.thermal.c_nj_per_k = 500;
+    cfg.power.throttle = power;
+    cfg.power.trip_mc = 46'500;
+    cfg.power.release_mc = 46'200;
+    cfg.power.remap = power;
+    cfg.power.remap_delta_mc = 100;
+    cfg.power.remap_min_windows = 2;
+    LiveSystem live = make_system(*desc, cfg);
+    live.sys->begin(1200, 2'000'000'000, /*warmup=*/400);
+    ASSERT_TRUE(live.sys->step(1500));
+    EXPECT_EQ(fnv1a(ck::encode_system(*live.sys)),
+              power ? 0xec72b785b7a476c7ull : 0xcbe98ae8b81ffb27ull);
+  }
+}
+
 TEST(FleetSystemCheckpoint, TruncatedSystemPayloadReportsOffset) {
   const auto* desc = workloads::find("mcf");
   ASSERT_NE(desc, nullptr);

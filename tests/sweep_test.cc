@@ -135,19 +135,6 @@ class ScopedEnv {
   std::optional<std::string> saved_;
 };
 
-TEST(ThreadKnobs, EnvUnsignedRejectsMalformedValues) {
-  ScopedEnv e("SECDDR_TEST_KNOB", nullptr);
-  EXPECT_EQ(env_unsigned("SECDDR_TEST_KNOB", 7u), 7u);  // unset
-  ::setenv("SECDDR_TEST_KNOB", "3", 1);
-  EXPECT_EQ(env_unsigned("SECDDR_TEST_KNOB", 7u), 3u);
-  ::setenv("SECDDR_TEST_KNOB", "0", 1);  // must be positive
-  EXPECT_EQ(env_unsigned("SECDDR_TEST_KNOB", 7u), 7u);
-  ::setenv("SECDDR_TEST_KNOB", "-1", 1);  // strtoul would wrap this
-  EXPECT_EQ(env_unsigned("SECDDR_TEST_KNOB", 7u), 7u);
-  ::setenv("SECDDR_TEST_KNOB", "2x", 1);  // trailing junk
-  EXPECT_EQ(env_unsigned("SECDDR_TEST_KNOB", 7u), 7u);
-}
-
 // Run-sizing knobs are strict: a malformed value exits 2 naming the
 // knob instead of running as 0 (SECDDR_INSTR=abc used to print an
 // all-zero table and exit 0).
@@ -232,6 +219,45 @@ TEST(StrictKnobsDeathTest, MalformedFuzzAndFleetKnobsExit2) {
       ::testing::ExitedWithCode(2), "--chaos='abc'");
 }
 
+// SECDDR_JOBS used to warn and fall back, the 0/1 flags read anything
+// but "0" as on, and trace_convert read "--block-records 12x" as 12.
+TEST(StrictKnobsDeathTest, MalformedJobsFlagsAndBlockRecordsExit2) {
+  for (const char* bad : {"abc", "12x", "-1", "", "0"}) {
+    SCOPED_TRACE(std::string("SECDDR_JOBS='") + bad + "'");
+    ScopedEnv e("SECDDR_JOBS", bad);
+    EXPECT_EXIT(sweep_jobs(), ::testing::ExitedWithCode(2), "SECDDR_JOBS");
+  }
+  for (const char* bad : {"yes", "2", "", " 1", "01"}) {
+    for (const char* knob : {"SECDDR_THERMAL", "SECDDR_THERMAL_THROTTLE",
+                             "SECDDR_THERMAL_REMAP"}) {
+      SCOPED_TRACE(std::string(knob) + "='" + bad + "'");
+      ScopedEnv on("SECDDR_THERMAL", "1");
+      ScopedEnv e(knob, bad);
+      EXPECT_EXIT(thermal_config_from_env(), ::testing::ExitedWithCode(2),
+                  std::string(knob) + "='");
+    }
+    for (const char* knob : {"SECDDR_FUZZ_SIM", "SECDDR_FUZZ_EVENT_DRIVEN"}) {
+      SCOPED_TRACE(std::string(knob) + "='" + bad + "'");
+      ScopedEnv e(knob, bad);
+      EXPECT_EXIT(fuzz::CampaignOptions::from_env(),
+                  ::testing::ExitedWithCode(2), knob);
+    }
+  }
+  {
+    ScopedEnv e("SECDDR_FLEET_KILL", "yes");
+    EXPECT_EXIT(::execl(SECDDR_FLEETD_BIN, SECDDR_FLEETD_BIN,
+                        static_cast<char*>(nullptr)),
+                ::testing::ExitedWithCode(2), "SECDDR_FLEET_KILL");
+  }
+  for (const char* bad : {"12x", "-1", "4294967296"}) {
+    SCOPED_TRACE(std::string("--block-records ") + bad);
+    EXPECT_EXIT(::execl(SECDDR_TRACE_CONVERT_BIN, SECDDR_TRACE_CONVERT_BIN,
+                        "in.trace", "out.strace", "--block-records", bad,
+                        static_cast<char*>(nullptr)),
+                ::testing::ExitedWithCode(2), "--block-records='");
+  }
+}
+
 TEST(StrictKnobs, ValidValuesParse) {
   ScopedEnv i("SECDDR_INSTR", "2000");
   ScopedEnv w("SECDDR_WARMUP", "0");
@@ -255,6 +281,14 @@ TEST(StrictKnobs, ValidValuesParse) {
   EXPECT_EQ(p.thermal.ambient_mc, -5000);
   EXPECT_TRUE(p.throttle);
   EXPECT_FALSE(p.remap);  // unset keeps the default
+
+  ScopedEnv jobs("SECDDR_JOBS", "3");
+  EXPECT_EQ(sweep_jobs(), 3u);
+  ScopedEnv sim("SECDDR_FUZZ_SIM", "1");
+  ScopedEnv ed("SECDDR_FUZZ_EVENT_DRIVEN", "0");
+  const fuzz::CampaignOptions f = fuzz::CampaignOptions::from_env();
+  EXPECT_TRUE(f.exec.timing_leg);
+  EXPECT_FALSE(f.exec.event_driven);
 }
 
 }  // namespace
