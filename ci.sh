@@ -22,15 +22,20 @@ run_matrix Release build-ci-release
 
 # Benchmark correctness gate (perfbench/run.py builds its own Release+LTO
 # copy of the simulator under $CARGO_TARGET_DIR and exits non-zero on any
-# wrong result). Seed 0 checks every membound point's result digest
-# against perfbench/digests.txt, so a simulated-behaviour drift on the
-# saturated tree64 points fails CI; seed 1 checks them against the
-# per-cycle loop and, traced, that the instrumented replica reproduces
-# them.
-CARGO_TARGET_DIR=build-ci-perfbench python3 perfbench/run.py \
-      --workload membound --seed 0 --seconds 1 --trace 0
-CARGO_TARGET_DIR=build-ci-perfbench python3 perfbench/run.py \
-      --workload membound --seed 1 --seconds 1 --trace 1
+# wrong result). Seed 0 checks every point's result digest against
+# perfbench/digests.txt for each declared workload, so a
+# simulated-behaviour drift on the saturated tree64 points, the compute
+# points or the 4-channel scheduler fails CI; seed 1 checks membound and
+# membound-4ch against the per-cycle loop and, traced, that the
+# instrumented replica reproduces them.
+for workload in membound compute membound-4ch; do
+  CARGO_TARGET_DIR=build-ci-perfbench python3 perfbench/run.py \
+        --workload "$workload" --seed 0 --seconds 1 --trace 0
+done
+for workload in membound membound-4ch; do
+  CARGO_TARGET_DIR=build-ci-perfbench python3 perfbench/run.py \
+        --workload "$workload" --seed 1 --seconds 1 --trace 1
+done
 
 # The slow-vs-fast simulation-loop determinism check must hold in both
 # build types. It already ran as part of the full suites above; re-run it

@@ -39,9 +39,9 @@ std::uint64_t ThermalNode::exp_neg_q32_to_q30(std::uint64_t x_q32) {
 ThermalNode::ThermalNode(const ThermalParams& params,
                          std::uint64_t window_cycles,
                          std::uint64_t period_fs) {
-  amb_q16_ = mc_to_q16(params.ambient_mc);
-  t_q16_ = amb_q16_;
-  peak_q16_ = amb_q16_;
+  amb_q32_ = mc_to_q32(params.ambient_mc);
+  t_q32_ = amb_q32_;
+  peak_q32_ = amb_q32_;
   const u128 dt_fs = u128(window_cycles) * period_fs;
   const u128 rc_fs = u128(params.r_mk_per_w) * params.c_nj_per_k * 1000;
   if (dt_fs == 0 || rc_fs == 0) {
@@ -67,15 +67,17 @@ ThermalNode::ThermalNode(const ThermalParams& params,
 
 void ThermalNode::apply_window(std::uint64_t energy_fj) {
   // Invariant: t >= ambient always (injection >= 0, decay is a pure
-  // contraction toward ambient), so the delta stays unsigned.
-  const std::uint64_t delta_q16 = static_cast<std::uint64_t>(t_q16_ - amb_q16_);
-  const std::uint64_t decayed_q16 =
-      static_cast<std::uint64_t>((u128(delta_q16) * alpha_q30_) >> 30);
-  // energy * gain is Q64; >> 48 lands on Q16.
-  const std::uint64_t inject_q16 =
-      static_cast<std::uint64_t>((u128(energy_fj) * gain_q64_) >> 48);
-  t_q16_ = amb_q16_ + static_cast<std::int64_t>(decayed_q16 + inject_q16);
-  if (t_q16_ > peak_q16_) peak_q16_ = t_q16_;
+  // contraction toward ambient), so the delta stays unsigned. Both terms
+  // round to nearest, so neither biases the trajectory: a floored decay
+  // would remove up to one ulp per window more than the model does.
+  const std::uint64_t delta_q32 = static_cast<std::uint64_t>(t_q32_ - amb_q32_);
+  const std::uint64_t decayed_q32 = static_cast<std::uint64_t>(
+      (u128(delta_q32) * alpha_q30_ + (u128(1) << 29)) >> 30);
+  // energy * gain is Q64; >> 32 lands on Q32.
+  const std::uint64_t inject_q32 = static_cast<std::uint64_t>(
+      (u128(energy_fj) * gain_q64_ + (u128(1) << 31)) >> 32);
+  t_q32_ = amb_q32_ + static_cast<std::int64_t>(decayed_q32 + inject_q32);
+  if (t_q32_ > peak_q32_) peak_q32_ = t_q32_;
 }
 
 }  // namespace secddr::analysis

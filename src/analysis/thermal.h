@@ -13,11 +13,17 @@
 // trajectories are bit-identical across platforms, loop modes, and
 // checkpoint restores:
 //
-//   temperature      Q16 (degrees C * 2^16, int64)
+//   temperature      Q32 (degrees C * 2^32, int64)
 //   alpha            Q30, via an integer exp() (range-reduce by halving,
 //                    6-term alternating Taylor series in Q62, square back)
 //   injection gain   Q64 (degrees C per femtojoule):
 //                    gain = R * (1 - alpha) / dt   [R in mK/W, dt in fs]
+//
+// Both per-window terms round to nearest. The state is Q32 because a
+// realistic node moves far less than a Q16 ulp per window: at the default
+// constants (tau = 0.4 s, 640 ns windows) 2 W injects ~1.3e-5 C per
+// window, under one Q16 ulp (1.5e-5 C), so a Q16 node never leaves
+// ambient. At Q32 the same step is ~55,000 ulps.
 //
 // No floating point touches the simulation path; doubles appear only in
 // tests, which check the fixed-point step against the closed form.
@@ -58,25 +64,29 @@ class ThermalNode {
   /// Advance one window: decay toward ambient, inject `energy_fj`.
   void apply_window(std::uint64_t energy_fj);
 
-  std::int64_t temp_q16() const { return t_q16_; }
-  std::int64_t peak_q16() const { return peak_q16_; }
-  std::int64_t temp_mc() const { return q16_to_mc(t_q16_); }
-  std::int64_t peak_mc() const { return q16_to_mc(peak_q16_); }
+  std::int64_t temp_q32() const { return t_q32_; }
+  std::int64_t peak_q32() const { return peak_q32_; }
+  std::int64_t temp_mc() const { return q32_to_mc(t_q32_); }
+  std::int64_t peak_mc() const { return q32_to_mc(peak_q32_); }
 
-  void reset_peak() { peak_q16_ = t_q16_; }
+  void reset_peak() { peak_q32_ = t_q32_; }
 
   /// Restore serialized mutable state (derived constants come from the
   /// config the owner reconstructs the node with).
-  void set_state(std::int64_t t_q16, std::int64_t peak_q16) {
-    t_q16_ = t_q16;
-    peak_q16_ = peak_q16;
+  void set_state(std::int64_t t_q32, std::int64_t peak_q32) {
+    t_q32_ = t_q32;
+    peak_q32_ = peak_q32;
   }
 
   std::uint64_t alpha_q30() const { return alpha_q30_; }
   std::uint64_t gain_q64() const { return gain_q64_; }
 
-  static std::int64_t mc_to_q16(std::int64_t mc) { return mc * 65536 / 1000; }
-  static std::int64_t q16_to_mc(std::int64_t q16) { return q16 * 1000 / 65536; }
+  static std::int64_t mc_to_q32(std::int64_t mc) {
+    return mc * (std::int64_t{1} << 32) / 1000;
+  }
+  static std::int64_t q32_to_mc(std::int64_t q32) {
+    return q32 * 1000 / (std::int64_t{1} << 32);
+  }
 
   /// Integer exp(-x): x in Q32 (unsigned), result in Q30.
   static std::uint64_t exp_neg_q32_to_q30(std::uint64_t x_q32);
@@ -84,9 +94,9 @@ class ThermalNode {
  private:
   std::uint64_t alpha_q30_ = 1ull << 30;  ///< decay per window
   std::uint64_t gain_q64_ = 0;            ///< degrees C per fJ injected
-  std::int64_t amb_q16_ = 45 * 65536;
-  std::int64_t t_q16_ = 45 * 65536;
-  std::int64_t peak_q16_ = 45 * 65536;
+  std::int64_t amb_q32_ = std::int64_t{45} << 32;
+  std::int64_t t_q32_ = std::int64_t{45} << 32;
+  std::int64_t peak_q32_ = std::int64_t{45} << 32;
 };
 
 }  // namespace secddr::analysis

@@ -1,8 +1,8 @@
-// Per-bank DRAM state machine and per-bank request FIFO.
+// Per-bank DRAM state machine and the controller's queued-request record.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
-#include <deque>
 
 #include "common/types.h"
 #include "dram/address.h"
@@ -39,8 +39,9 @@ struct Bank {
 };
 
 /// One queued controller transaction. `seq` is the global arrival order
-/// (unique, monotone), which is what FR-FCFS ages and tie-breaks on now
-/// that entries live in per-bank FIFOs instead of one global deque.
+/// (unique, monotone), which is what FR-FCFS ages and tie-breaks on:
+/// entries live in per-bank FIFOs, and comparing `seq` across banks
+/// recovers the global arrival order.
 struct Request {
   Addr addr;
   DecodedAddr d;
@@ -48,33 +49,6 @@ struct Request {
   Cycle arrival;
   std::uint64_t seq;
   bool activated_for = false;  ///< an ACT was issued on this entry's behalf
-};
-
-/// Per-(bank, direction) request FIFO. Entries stay in arrival order, so
-/// the FIFO head is the bank's oldest request and `seq` comparisons across
-/// banks reconstruct the global arrival order exactly.
-///
-/// `match_count` caches how many queued entries target the currently open
-/// row; it is only meaningful while the bank is open (the controller
-/// recounts on ACTIVATE and ignores it while the bank is closed). It lets
-/// the issue and next-event scans classify a bank as "has row hits" /
-/// "has conflicts" in O(1) instead of walking the FIFO.
-struct BankQueue {
-  std::deque<Request> q;
-  unsigned match_count = 0;
-
-  bool empty() const { return q.empty(); }
-  std::size_t size() const { return q.size(); }
-  /// Queued entries that do NOT target the open row (valid while open).
-  std::size_t mismatch_count() const { return q.size() - match_count; }
-
-  /// Index of the oldest entry targeting `row`, or -1. The caller reports
-  /// entries examined via `visited` (scan-cost accounting).
-  int first_match(std::uint64_t row, std::uint64_t* visited) const;
-  /// Index of the oldest entry NOT targeting `row`, or -1.
-  int first_mismatch(std::uint64_t row, std::uint64_t* visited) const;
-  /// Recomputes `match_count` against `open_row` (called on ACTIVATE).
-  void recount(std::int64_t open_row);
 };
 
 }  // namespace secddr::dram

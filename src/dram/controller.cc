@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
 
 namespace secddr::dram {
 
@@ -16,24 +17,25 @@ Controller::Controller(const Geometry& geometry, const Timings& timings,
       wq_size_(write_queue_size),
       drain_low_(write_queue_size / 4),
       drain_high_(write_queue_size * 3 / 4),
-      banks_(geometry.total_banks()),
+      rows_(geometry.total_banks()),
+      links_(geometry.total_banks()),
       ranks_(geometry.ranks),
       power_cfg_(power) {
+  if (rq_size_ >= kNil || wq_size_ >= kNil)
+    throw std::invalid_argument("controller queue size out of range");
   for (unsigned r = 0; r < geometry_.ranks; ++r) {
     // Stagger refresh across ranks so they do not lock the channel together.
     ranks_[r].next_refresh_due =
         timings_.tREFI / (geometry_.ranks + 1) * (r + 1);
   }
-  for (unsigned dir = 0; dir < 2; ++dir) {
-    queues_[dir].resize(geometry_.total_banks());
-    active_[dir].init(geometry_.total_banks());
-    col_idx_[dir].init(geometry_.total_banks());
-    pre_idx_[dir].init(geometry_.total_banks());
-    closed_idx_[dir].resize(geometry_.ranks);
-    for (auto& idx : closed_idx_[dir]) idx.init(geometry_.total_banks());
-  }
-  col_bus_floor_.assign(geometry_.ranks, 0);
-  act_floor_.assign(geometry_.ranks, ActFloor{});
+  const unsigned groups = geometry_.ranks * geometry_.bank_groups;
+  group_of_.resize(geometry_.total_banks());
+  for (unsigned flat = 0; flat < geometry_.total_banks(); ++flat)
+    group_of_[flat] = flat / geometry_.banks_per_group;
+  floors_.assign(groups, Floors{});
+  group_.assign(groups, GroupBounds{});
+  reset_queues();
+  prime_floors();
 
   if (power_cfg_.window_cycles == 0) power_cfg_.window_cycles = 1;
   if (power_cfg_.throttle_period == 0) power_cfg_.throttle_period = 1;
@@ -72,52 +74,90 @@ DecodedAddr Controller::map_addr(Addr addr) const {
   return d;
 }
 
-void Controller::prime_col_floors(bool is_write) const {
-  if (have_last_col_) {
-    col_ccd_same_ = last_col_cmd_ + timings_.tCCD_L;
-    col_ccd_diff_ = last_col_cmd_ + timings_.tCCD_S;
+// ------------------------------------------------------------ bank FIFOs
+
+void Controller::reset_queues() {
+  const unsigned sizes[2] = {rq_size_, wq_size_};
+  for (unsigned dir = 0; dir < 2; ++dir) {
+    pool_[dir].assign(sizes[dir], Node{});
+    for (unsigned i = 0; i + 1 < sizes[dir]; ++i)
+      pool_[dir][i].next = static_cast<Slot>(i + 1);
+    free_[dir] = sizes[dir] > 0 ? 0 : kNil;
+    q_size_[dir] = 0;
   }
-  const unsigned lat = is_write ? timings_.tCWL : timings_.tCL;
-  for (unsigned r = 0; r < geometry_.ranks; ++r) {
-    Cycle bus_ready = bus_free_at_;
-    if (bus_free_at_ > 0 &&
-        (bus_last_was_write_ != is_write || bus_last_rank_ != r))
-      bus_ready += timings_.turnaround;
-    col_bus_floor_[r] = bus_ready > lat ? bus_ready - lat : 0;
+  for (BankRow& row : rows_)
+    for (unsigned dir = 0; dir < 2; ++dir)
+      row.hit_seq[dir] = row.conf_seq[dir] = kNoSeq;
+  std::fill(links_.begin(), links_.end(), BankLinks{});
+  std::fill(group_.begin(), group_.end(), GroupBounds{});
+}
+
+void Controller::push_entry(unsigned dir, unsigned flat, const Request& e) {
+  std::vector<Node>& pool = pool_[dir];
+  const Slot s = free_[dir];
+  assert(s != kNil && "push past the queue size");
+  free_[dir] = pool[s].next;
+  BankLinks& l = links_[flat];
+  pool[s] = Node{e, l.tail[dir], kNil};
+  if (l.tail[dir] != kNil)
+    pool[l.tail[dir]].next = s;
+  else
+    l.head[dir] = s;
+  l.tail[dir] = s;
+  BankRow& row = rows_[flat];
+  if (row.bank.open_row == static_cast<std::int64_t>(e.d.row)) {
+    if (l.hit[dir] == kNil) {
+      l.hit[dir] = s;
+      row.hit_seq[dir] = e.seq;
+    }
+  } else if (l.conf[dir] == kNil) {
+    l.conf[dir] = s;
+    row.conf_seq[dir] = e.seq;
+  }
+  ++q_size_[dir];
+  fold_bank(flat);
+}
+
+void Controller::reclassify(unsigned flat) {
+  BankRow& row = rows_[flat];
+  BankLinks& l = links_[flat];
+  for (unsigned dir = 0; dir < 2; ++dir) {
+    const std::vector<Node>& pool = pool_[dir];
+    l.hit[dir] = kNil;
+    row.hit_seq[dir] = kNoSeq;
+    l.conf[dir] = l.head[dir];
+    row.conf_seq[dir] = l.head[dir] != kNil ? pool[l.head[dir]].r.seq : kNoSeq;
+    if (!row.bank.is_open()) continue;  // closed: every entry conflicts
+    l.conf[dir] = kNil;
+    row.conf_seq[dir] = kNoSeq;
+    for (Slot s = l.head[dir];
+         s != kNil && (l.hit[dir] == kNil || l.conf[dir] == kNil);
+         s = pool[s].next) {
+      ++scan_stats_.entries_visited;
+      const Request& e = pool[s].r;
+      if (row.bank.open_row == static_cast<std::int64_t>(e.d.row)) {
+        if (l.hit[dir] == kNil) {
+          l.hit[dir] = s;
+          row.hit_seq[dir] = e.seq;
+        }
+      } else if (l.conf[dir] == kNil) {
+        l.conf[dir] = s;
+        row.conf_seq[dir] = e.seq;
+      }
+    }
   }
 }
 
-void Controller::prime_act_floors() const {
-  for (unsigned r = 0; r < geometry_.ranks; ++r) {
-    const RankState& rank = ranks_[r];
-    ActFloor& f = act_floor_[r];
-    f.gated = rank.refresh_pending;
-    if (f.gated) continue;
-    const Cycle faw = rank.act_window.size() >= 4
-                          ? rank.act_window.front() + timings_.tFAW
-                          : 0;
-    f.same_bg = rank.have_last_act
-                    ? std::max(faw, rank.last_act + timings_.tRRD_L)
-                    : faw;
-    f.diff_bg = rank.have_last_act
-                    ? std::max(faw, rank.last_act + timings_.tRRD_S)
-                    : faw;
-  }
-}
-
-void Controller::sync_indexes(unsigned dir, unsigned flat) {
-  const BankQueue& bq = queues_[dir][flat];
-  const bool nonempty = !bq.q.empty();
-  const bool open = banks_[flat].is_open();
-  active_[dir].set(flat, nonempty);
-  col_idx_[dir].set(flat, nonempty && open && bq.match_count > 0);
-  pre_idx_[dir].set(flat, nonempty && open && bq.match_count < bq.q.size());
-  closed_idx_[dir][flat / geometry_.banks_per_rank()].set(
-      flat, nonempty && !open);
+Controller::Slot Controller::find_write(unsigned flat, Addr addr) const {
+  // Same line => same bank FIFO (the invariant the merge/forward scans and
+  // the remap policy's idle-bank rule keep), so one FIFO scan decides.
+  for (Slot s = links_[flat].head[1]; s != kNil; s = pool_[1][s].next)
+    if (line_base(pool_[1][s].r.addr) == line_base(addr)) return s;
+  return kNil;
 }
 
 void Controller::close_bank(unsigned flat, Cycle now) {
-  banks_[flat].precharge(now, timings_.tRP);
+  rows_[flat].bank.precharge(now, timings_.tRP);
   ++stats_.precharges;
   if (power_on_) {
     ++window_counts_[flat / geometry_.banks_per_rank()].pre;
@@ -129,29 +169,8 @@ void Controller::close_bank(unsigned flat, Cycle now) {
                             in_rank / geometry_.banks_per_group,
                             in_rank % geometry_.banks_per_group, now);
   }
-  sync_indexes(0, flat);
-  sync_indexes(1, flat);
-}
-
-int Controller::oldest_bank(unsigned dir) const {
-  int best = -1;
-  std::uint64_t best_seq = ~std::uint64_t{0};
-  for (const unsigned flat : active_[dir].items) {
-    const std::uint64_t s = queues_[dir][flat].q.front().seq;
-    if (s < best_seq) {
-      best_seq = s;
-      best = static_cast<int>(flat);
-    }
-  }
-  return best;
-}
-
-void Controller::recount_bank(unsigned flat) {
-  const std::int64_t row = banks_[flat].open_row;
-  queues_[0][flat].recount(row);
-  queues_[1][flat].recount(row);
-  sync_indexes(0, flat);
-  sync_indexes(1, flat);
+  reclassify(flat);
+  refold_group(group_of(flat));
 }
 
 bool Controller::enqueue(Addr addr, bool is_write, std::uint64_t tag,
@@ -164,138 +183,98 @@ bool Controller::enqueue(Addr addr, bool is_write, std::uint64_t tag,
   if (power_on_) power_advance(now);
   Request e{addr, map_addr(addr), tag, now, next_seq_, false};
   const unsigned flat = e.d.flat_bank(geometry_);
+  const Slot same_line = find_write(flat, addr);
   if (is_write) {
     if (q_size_[1] >= wq_size_) return false;
     // Write merging: a newer write to the same line supersedes the queued
     // one. The superseded write completes (exactly once) here; the
     // surviving entry carries the new tag and completes when it issues,
-    // so each logical write is counted and completed exactly once. A
-    // same-line write lives in the same bank FIFO by construction, so
-    // only that FIFO needs scanning.
-    for (auto& w : queues_[1][flat].q) {
-      if (line_base(w.addr) == line_base(addr)) {
-        ++stats_.writes_enqueued;
-        ++stats_.writes_completed;
-        completions_.push_back({w.tag, w.addr, true, w.arrival, now});
-        w.tag = tag;
-        w.arrival = now;
-        return true;
-      }
+    // so each logical write is counted and completed exactly once.
+    if (same_line != kNil) {
+      Request& w = pool_[1][same_line].r;
+      ++stats_.writes_enqueued;
+      ++stats_.writes_completed;
+      completions_.push_back({w.tag, w.addr, true, w.arrival, now});
+      w.tag = tag;
+      w.arrival = now;
+      return true;
     }
     ++next_seq_;
-    const Bank& bank = banks_[flat];
-    if (bank.is_open() &&
-        bank.open_row == static_cast<std::int64_t>(e.d.row))
-      ++queues_[1][flat].match_count;
-    queues_[1][flat].q.push_back(e);
-    ++q_size_[1];
-    sync_indexes(1, flat);
+    push_entry(1, flat, e);
     ++stats_.writes_enqueued;
     observe_event_candidate(entry_event_bound(e, true));
     // Crossing the drain watermark flips the next tick into write
     // service, making every queued write column a candidate.
-    if (!draining_writes_ && q_size_[1] >= drain_high_)
-      observe_event_candidate(now);
+    if (drain_flip_pending()) observe_event_candidate(now);
     return true;
   }
   if (q_size_[0] >= rq_size_) return false;
   // Write forwarding: serve the read from the pending write data. The
   // read completes here and never enters the read queue, so it does not
-  // count as enqueued. Same line => same bank FIFO.
-  for (const auto& w : queues_[1][flat].q) {
-    if (line_base(w.addr) == line_base(addr)) {
-      ++stats_.write_forwards;
-      ++stats_.reads_completed;
-      const Cycle finish = now + timings_.tCL;
-      stats_.total_read_latency += finish - now;
-      completions_.push_back({tag, addr, false, now, finish});
-      return true;
-    }
+  // count as enqueued.
+  if (same_line != kNil) {
+    ++stats_.write_forwards;
+    ++stats_.reads_completed;
+    const Cycle finish = now + timings_.tCL;
+    stats_.total_read_latency += finish - now;
+    completions_.push_back({tag, addr, false, now, finish});
+    return true;
   }
   ++next_seq_;
-  const Bank& bank = banks_[flat];
-  if (bank.is_open() && bank.open_row == static_cast<std::int64_t>(e.d.row))
-    ++queues_[0][flat].match_count;
-  queues_[0][flat].q.push_back(e);
-  ++q_size_[0];
-  sync_indexes(0, flat);
+  push_entry(0, flat, e);
   ++stats_.reads_enqueued;
   observe_event_candidate(entry_event_bound(e, false));
   return true;
 }
 
 bool Controller::has_queued_write_to_line(Addr addr) const {
-  // Same line => same bank FIFO (the invariant enqueue() relies on for
-  // merge/forward scans), so one FIFO scan decides.
-  const unsigned flat = map_addr(addr).flat_bank(geometry_);
-  for (const auto& w : queues_[1][flat].q)
-    if (line_base(w.addr) == line_base(addr)) return true;
-  return false;
+  return find_write(map_addr(addr).flat_bank(geometry_), addr) != kNil;
 }
 
-Cycle Controller::column_ready_at(const Request& e, bool is_write) const {
-  const Bank& bank = banks_[e.d.flat_bank(geometry_)];
-  Cycle at = is_write ? bank.next_write : bank.next_read;
-
-  // Column-to-column spacing (tCCD_S/tCCD_L).
-  if (have_last_col_) {
-    const bool same_bg =
-        last_col_bg_ == e.d.bank_group && last_col_rank_ == e.d.rank;
-    at = std::max(at, last_col_cmd_ + (same_bg ? timings_.tCCD_L
-                                               : timings_.tCCD_S));
-  }
-
-  // Data-bus availability, including direction/rank turnaround: data starts
-  // `lat` after the command, so the command may go `lat` before the bus
-  // frees.
-  Cycle bus_ready = bus_free_at_;
-  if (bus_free_at_ > 0 && (bus_last_was_write_ != is_write ||
-                           bus_last_rank_ != e.d.rank))
-    bus_ready += timings_.turnaround;
-  const unsigned lat = is_write ? timings_.tCWL : timings_.tCL;
-  return std::max(at, bus_ready > lat ? bus_ready - lat : 0);
-}
-
-Cycle Controller::act_ready_at(const Request& e) const {
-  const Bank& bank = banks_[e.d.flat_bank(geometry_)];
-  const RankState& rank = ranks_[e.d.rank];
-  // A refresh-gated bank is woken by the refresh events themselves.
-  if (rank.refresh_pending) return kNoEvent;
-  Cycle at = bank.next_activate;
-  if (rank.act_window.size() >= 4)
-    at = std::max(at, rank.act_window.front() + timings_.tFAW);
-  if (rank.have_last_act)
-    at = std::max(at, rank.last_act + (rank.last_act_bg == e.d.bank_group
-                                           ? timings_.tRRD_L
-                                           : timings_.tRRD_S));
-  return at;
-}
+// ------------------------------------------------------- command issue
 
 void Controller::apply_write_to_read_penalty(const Request& e,
                                              Cycle data_end) {
   // After write data ends, reads to the same rank must wait tWTR_S/L.
+  // Every bank of a group rises to the same floor, so the group's read
+  // bound rises to it too.
   for (unsigned bg = 0; bg < geometry_.bank_groups; ++bg) {
     const unsigned wtr =
         bg == e.d.bank_group ? timings_.tWTR_L : timings_.tWTR_S;
+    Cycle& group_read = group_[e.d.rank * geometry_.bank_groups + bg].col[0];
+    group_read = std::max(group_read, data_end + wtr);
     for (unsigned b = 0; b < geometry_.banks_per_group; ++b) {
-      const unsigned idx = e.d.rank * geometry_.banks_per_rank() +
-                           bg * geometry_.banks_per_group + b;
-      banks_[idx].next_read = std::max(banks_[idx].next_read, data_end + wtr);
+      Bank& bank = rows_[e.d.rank * geometry_.banks_per_rank() +
+                         bg * geometry_.banks_per_group + b]
+                       .bank;
+      bank.next_read = std::max(bank.next_read, data_end + wtr);
     }
   }
 }
 
-void Controller::issue_column(unsigned flat, std::size_t pos, bool is_write,
-                              Cycle now) {
-  const unsigned dir = is_write ? 1 : 0;
-  BankQueue& bq = queues_[dir][flat];
-  Request e = bq.q[pos];
-  bq.q.erase(bq.q.begin() + static_cast<std::ptrdiff_t>(pos));
-  --bq.match_count;  // a column candidate always targets the open row
+void Controller::issue_column(unsigned flat, unsigned dir, Cycle now) {
+  const bool is_write = dir == 1;
+  std::vector<Node>& pool = pool_[dir];
+  BankRow& row = rows_[flat];
+  BankLinks& l = links_[flat];
+  const Slot s = l.hit[dir];
+  const Request e = pool[s].r;
+  // The bank's next row hit, if any, is younger than the issued one.
+  Slot hit = pool[s].next;
+  while (hit != kNil && pool[hit].r.d.row != e.d.row) {
+    ++scan_stats_.entries_visited;
+    hit = pool[hit].next;
+  }
+  l.hit[dir] = hit;
+  row.hit_seq[dir] = hit != kNil ? pool[hit].r.seq : kNoSeq;
+  const Slot prev = pool[s].prev, next = pool[s].next;
+  (prev != kNil ? pool[prev].next : l.head[dir]) = next;
+  (next != kNil ? pool[next].prev : l.tail[dir]) = prev;
+  pool[s].next = free_[dir];
+  free_[dir] = s;
   --q_size_[dir];
-  sync_indexes(dir, flat);
 
-  Bank& bank = banks_[flat];
+  Bank& bank = row.bank;
   if (e.activated_for)
     ++stats_.row_misses;
   else
@@ -322,6 +301,7 @@ void Controller::issue_column(unsigned flat, std::size_t pos, bool is_write,
   have_last_col_ = true;
   last_col_bg_ = e.d.bank_group;
   last_col_rank_ = e.d.rank;
+  prime_col_floors();
 
   if (is_write) {
     bank.next_precharge =
@@ -330,189 +310,55 @@ void Controller::issue_column(unsigned flat, std::size_t pos, bool is_write,
     ++stats_.writes_completed;
     completions_.push_back({e.tag, e.addr, true, e.arrival, data_end});
   } else {
-    bank.next_precharge =
-        std::max(bank.next_precharge, now + timings_.tRTP);
+    bank.next_precharge = std::max(bank.next_precharge, now + timings_.tRTP);
     inflight_reads_.push_back({e, data_end});
     inflight_min_finish_ = std::min(inflight_min_finish_, data_end);
   }
+  refold_group(group_of(flat));
 }
 
-bool Controller::try_issue_column(bool is_write, Cycle now) {
-  const unsigned dir = is_write ? 1 : 0;
-  ++scan_stats_.issue_scans;
-  scan_stats_.queue_depth_sum += q_size_[dir];
-
-  if (policy_ == SchedulingPolicy::kFcfs) {
-    // Strict FCFS considers only the globally oldest entry.
-    const int flat = oldest_bank(dir);
-    scan_stats_.entries_visited += active_[dir].items.size();
-    if (flat < 0) return false;
-    const Request& e = queues_[dir][static_cast<unsigned>(flat)].q.front();
-    const Bank& bank = banks_[static_cast<unsigned>(flat)];
-    if (!bank.is_open() ||
-        bank.open_row != static_cast<std::int64_t>(e.d.row) ||
-        now < column_ready_at(e, is_write))
-      return false;
-    issue_column(static_cast<unsigned>(flat), 0, is_write, now);
-    ++scan_stats_.commands_issued;
-    return true;
-  }
-
-  // FR-FCFS: the oldest row hit whose column command is allowed. Row hits
-  // of the same bank share every timing constraint, so each bank
-  // contributes (at most) its oldest open-row entry and the winner is the
-  // minimum arrival seq across allowed banks — exactly the entry a
-  // front-to-back scan of one global arrival-ordered deque would pick.
-  if (col_idx_[dir].items.empty()) return false;
-  bool primed = false;
-  int best_flat = -1;
-  std::size_t best_pos = 0;
-  std::uint64_t best_seq = ~std::uint64_t{0};
-  for (const unsigned flat : col_idx_[dir].items) {
-    ++scan_stats_.entries_visited;
-    const Bank& bank = banks_[flat];
-    const BankQueue& bq = queues_[dir][flat];
-    const Request& rep = bq.q.front();
-    // Bank-level pre-filter: the full bound is a max including this term,
-    // so a bank not yet column-ready by its own timing needs no floors.
-    if (now < (is_write ? bank.next_write : bank.next_read)) continue;
-    if (!primed) {
-      prime_col_floors(is_write);
-      primed = true;
-    }
-    if (now < column_ready_primed(bank, rep.d, is_write)) continue;
-    const int pos = bq.first_match(
-        static_cast<std::uint64_t>(bank.open_row),
-        &scan_stats_.entries_visited);
-    assert(pos >= 0);
-    const std::uint64_t s = bq.q[static_cast<std::size_t>(pos)].seq;
-    if (s < best_seq) {
-      best_seq = s;
-      best_flat = static_cast<int>(flat);
-      best_pos = static_cast<std::size_t>(pos);
-    }
-  }
-  if (best_flat < 0) return false;
-  issue_column(static_cast<unsigned>(best_flat), best_pos, is_write, now);
-  ++scan_stats_.commands_issued;
-  return true;
-}
-
-bool Controller::try_issue_bank_prep(bool is_write, Cycle now) {
-  const unsigned dir = is_write ? 1 : 0;
-  ++scan_stats_.issue_scans;
-  scan_stats_.queue_depth_sum += q_size_[dir];
-
-  const auto do_act = [&](unsigned flat, Request& e) {
-    Bank& bank = banks_[flat];
-    bank.activate(e.d.row, now, timings_.tRCD, timings_.tRAS);
-    RankState& rank = ranks_[e.d.rank];
-    rank.act_window.push_back(now);
-    while (rank.act_window.size() > 4) rank.act_window.pop_front();
-    rank.last_act = now;
-    rank.have_last_act = true;
-    rank.last_act_bg = e.d.bank_group;
-    e.activated_for = true;
-    ++stats_.activates;
-    if (power_on_) {
-      ++window_counts_[e.d.rank].act;
-      ++bank_activity_[flat];
-    }
-    if (observer_) observer_->on_activate(e.d, now);
-    recount_bank(flat);
-    ++scan_stats_.commands_issued;
-  };
-  const auto do_pre = [&](unsigned flat) {
-    close_bank(flat, now);
-    ++scan_stats_.commands_issued;
-  };
-
-  if (policy_ == SchedulingPolicy::kFcfs) {
-    const int flat_i = oldest_bank(dir);
-    scan_stats_.entries_visited += active_[dir].items.size();
-    if (flat_i < 0) return false;
-    const unsigned flat = static_cast<unsigned>(flat_i);
-    Request& e = queues_[dir][flat].q.front();
-    Bank& bank = banks_[flat];
-    if (bank.is_open() &&
-        bank.open_row == static_cast<std::int64_t>(e.d.row))
-      return false;  // row hit waiting on timing only
-    if (!bank.is_open()) {
-      if (now < act_ready_at(e)) return false;
-      do_act(flat, e);
-      return true;
-    }
-    if (now < bank.next_precharge) return false;
-    do_pre(flat);
-    return true;
-  }
-
-  // FR-FCFS: ACT or PRE for the oldest request whose bank is not ready.
-  // Per bank the candidate is its oldest non-row-hit entry (the whole
-  // FIFO when the bank is closed); the action's predicate is bank-level,
-  // so the arbitration is again min seq across allowed banks. Closed
-  // banks are grouped per rank: when the rank's tFAW/tRRD floor alone
-  // blocks every ACT (one comparison), the whole group is skipped.
-  enum class Action { kAct, kPre };
-  prime_act_floors();
-  int best_flat = -1;
-  Action best_action = Action::kAct;
-  std::uint64_t best_seq = ~std::uint64_t{0};
-  for (unsigned r = 0; r < geometry_.ranks; ++r) {
-    const BankIndex& idx = closed_idx_[dir][r];
-    if (idx.items.empty()) continue;
-    ++scan_stats_.entries_visited;
-    const ActFloor& f = act_floor_[r];
-    if (f.gated || (now < f.same_bg && now < f.diff_bg)) continue;
-    for (const unsigned flat : idx.items) {
-      ++scan_stats_.entries_visited;
-      const Request& head = queues_[dir][flat].q.front();
-      if (head.seq >= best_seq) continue;
-      if (now < act_ready_primed(banks_[flat], head.d)) continue;
-      best_seq = head.seq;
-      best_flat = static_cast<int>(flat);
-      best_action = Action::kAct;
-    }
-  }
-  for (const unsigned flat : pre_idx_[dir].items) {
-    ++scan_stats_.entries_visited;
-    const Bank& bank = banks_[flat];
-    if (now < bank.next_precharge) continue;
-    const BankQueue& bq = queues_[dir][flat];
-    const int pos = bq.first_mismatch(
-        static_cast<std::uint64_t>(bank.open_row),
-        &scan_stats_.entries_visited);
-    assert(pos >= 0);
-    const std::uint64_t s = bq.q[static_cast<std::size_t>(pos)].seq;
-    if (s < best_seq) {
-      best_seq = s;
-      best_flat = static_cast<int>(flat);
-      best_action = Action::kPre;
-    }
-  }
-  if (best_flat < 0) return false;
-  const unsigned flat = static_cast<unsigned>(best_flat);
-  if (best_action == Action::kAct)
-    do_act(flat, queues_[dir][flat].q.front());
+void Controller::activate(unsigned flat, unsigned dir, Cycle now) {
+  Request& e = pool_[dir][links_[flat].head[dir]].r;
+  rows_[flat].bank.activate(e.d.row, now, timings_.tRCD, timings_.tRAS);
+  RankState& rank = ranks_[e.d.rank];
+  if (rank.acts == 4)
+    std::copy(rank.act_window + 1, rank.act_window + 4, rank.act_window);
   else
-    do_pre(flat);
-  return true;
+    ++rank.acts;
+  rank.act_window[rank.acts - 1] = now;
+  rank.last_act = now;
+  rank.have_last_act = true;
+  rank.last_act_bg = e.d.bank_group;
+  prime_act_floors(e.d.rank);
+  e.activated_for = true;
+  ++stats_.activates;
+  if (power_on_) {
+    ++window_counts_[e.d.rank].act;
+    ++bank_activity_[flat];
+  }
+  if (observer_) observer_->on_activate(e.d, now);
+  reclassify(flat);
+  refold_group(group_of(flat));
 }
 
 bool Controller::handle_refresh(Cycle now) {
+  const unsigned bpr = geometry_.banks_per_rank();
   for (unsigned r = 0; r < geometry_.ranks; ++r) {
     RankState& rank = ranks_[r];
     if (!rank.refresh_pending) {
-      if (now >= rank.next_refresh_due) rank.refresh_pending = true;
+      if (now >= rank.next_refresh_due) {
+        rank.refresh_pending = true;
+        prime_act_floors(r);
+      }
       continue;
     }
     // Precharge all open banks in the rank, then refresh.
     bool all_closed = true;
-    for (unsigned b = 0; b < geometry_.banks_per_rank(); ++b) {
-      const unsigned flat = r * geometry_.banks_per_rank() + b;
-      if (banks_[flat].is_open()) {
+    for (unsigned b = 0; b < bpr; ++b) {
+      const unsigned flat = r * bpr + b;
+      if (rows_[flat].bank.is_open()) {
         all_closed = false;
-        if (now >= banks_[flat].next_precharge) {
+        if (now >= rows_[flat].bank.next_precharge) {
           close_bank(flat, now);
           return true;
         }
@@ -520,19 +366,21 @@ bool Controller::handle_refresh(Cycle now) {
     }
     if (all_closed) {
       bool ready = true;
-      for (unsigned b = 0; b < geometry_.banks_per_rank(); ++b) {
-        const Bank& bank = banks_[r * geometry_.banks_per_rank() + b];
-        if (now < bank.next_activate) {
+      for (unsigned b = 0; b < bpr; ++b) {
+        if (now < rows_[r * bpr + b].bank.next_activate) {
           ready = false;
           break;
         }
       }
       if (ready) {
-        for (unsigned b = 0; b < geometry_.banks_per_rank(); ++b) {
-          Bank& bank = banks_[r * geometry_.banks_per_rank() + b];
+        for (unsigned b = 0; b < bpr; ++b) {
+          Bank& bank = rows_[r * bpr + b].bank;
           bank.next_activate = std::max(bank.next_activate, now + timings_.tRFC);
         }
+        for (unsigned bg = 0; bg < geometry_.bank_groups; ++bg)
+          refold_group(r * geometry_.bank_groups + bg);
         rank.refresh_pending = false;
+        prime_act_floors(r);
         rank.next_refresh_due += timings_.tREFI;
         ++stats_.refreshes;
         if (power_on_) ++window_counts_[r].ref;
@@ -544,153 +392,288 @@ bool Controller::handle_refresh(Cycle now) {
   return false;
 }
 
-Cycle Controller::entry_event_bound(const Request& e, bool is_write) const {
-  // Derived from the same column_ready_at()/act_ready_at() bounds the
-  // issue predicates test against, so "allowed" is exactly "now >= bound"
-  // and the memoized event times can never drift from the predicates.
-  const Bank& bank = banks_[e.d.flat_bank(geometry_)];
-  if (bank.is_open() && bank.open_row == static_cast<std::int64_t>(e.d.row)) {
-    // A write row hit is only a candidate while writes are being served;
-    // the transitions into write service (drain watermark crossing, read
-    // queue emptying) are themselves observed events, so until then the
-    // entry schedules nothing.
-    if (is_write && !serving_writes()) return kNoEvent;
-    return column_ready_at(e, is_write);
+// ------------------------------------------------- the scheduling table
+
+void Controller::prime_col_floors() {
+  // Column-to-column spacing (tCCD_S/tCCD_L) against the last column:
+  // tCCD_L binds only the last column's own (rank, bank group).
+  Cycle ccd_same = 0, ccd_diff = 0;
+  if (have_last_col_) {
+    ccd_same = last_col_cmd_ + timings_.tCCD_L;
+    ccd_diff = last_col_cmd_ + timings_.tCCD_S;
   }
-  if (bank.is_open()) {
-    // Row conflict: a precharge becomes possible.
-    return bank.next_precharge;
+  const unsigned bgs = geometry_.bank_groups;
+  const unsigned last_group = last_col_rank_ * bgs + last_col_bg_;
+  for (unsigned r = 0; r < geometry_.ranks; ++r) {
+    Cycle bus[2];
+    for (unsigned dir = 0; dir < 2; ++dir) {
+      const bool is_write = dir == 1;
+      // Data-bus availability, including direction/rank turnaround: data
+      // starts `lat` after the command, so the command may go `lat`
+      // before the bus frees.
+      Cycle bus_ready = bus_free_at_;
+      if (bus_free_at_ > 0 &&
+          (bus_last_was_write_ != is_write || bus_last_rank_ != r))
+        bus_ready += timings_.turnaround;
+      const unsigned lat = is_write ? timings_.tCWL : timings_.tCL;
+      bus[dir] = bus_ready > lat ? bus_ready - lat : 0;
+    }
+    for (unsigned g = r * bgs; g < (r + 1) * bgs; ++g) {
+      const Cycle ccd = g == last_group ? ccd_same : ccd_diff;
+      floors_[g].col[0] = std::max(ccd, bus[0]);
+      floors_[g].col[1] = std::max(ccd, bus[1]);
+    }
   }
-  // Closed bank: an activate becomes possible (kNoEvent while refresh-gated).
-  return act_ready_at(e);
 }
 
-Cycle Controller::next_event_cycle(Cycle now) const {
-  // The event set can move earlier only via enqueue() (which folds the
-  // new entry's bound into the cache); mutations inside tick() only
-  // happen once the cached event time has been reached, after which the
-  // cache expires here and is recomputed against the post-mutation state.
-  if (next_event_valid_ && next_event_cache_ >= now) return next_event_cache_;
-  next_event_cache_ = compute_next_event_cycle(now);
-  next_event_valid_ = true;
-  return next_event_cache_;
+void Controller::prime_act_floors(unsigned rank) {
+  const RankState& rs = ranks_[rank];
+  // A refresh-gated rank is woken by the refresh events themselves.
+  Cycle same = kNoEvent, diff = kNoEvent;
+  if (!rs.refresh_pending) {
+    same = diff = rs.acts == 4 ? rs.act_window[0] + timings_.tFAW : 0;
+    if (rs.have_last_act) {
+      same = std::max(same, rs.last_act + timings_.tRRD_L);
+      diff = std::max(diff, rs.last_act + timings_.tRRD_S);
+    }
+  }
+  const unsigned bgs = geometry_.bank_groups;
+  for (unsigned bg = 0; bg < bgs; ++bg)
+    floors_[rank * bgs + bg].act = bg == rs.last_act_bg ? same : diff;
 }
 
-Cycle Controller::compute_next_event_cycle(Cycle now) const {
+void Controller::prime_floors() {
+  prime_col_floors();
+  for (unsigned r = 0; r < geometry_.ranks; ++r) prime_act_floors(r);
+}
+
+void Controller::fold_bank(unsigned flat) {
+  const BankRow& row = rows_[flat];
+  const Bank& b = row.bank;
+  GroupBounds& gb = group_[group_of(flat)];
+  if (row.hit_seq[0] != kNoSeq) gb.col[0] = std::min(gb.col[0], b.next_read);
+  if (row.hit_seq[1] != kNoSeq) gb.col[1] = std::min(gb.col[1], b.next_write);
+  // Some direction has a conflict (every entry of a closed bank is one).
+  if ((row.conf_seq[0] & row.conf_seq[1]) == kNoSeq) return;
+  if (b.is_open())
+    gb.pre = std::min(gb.pre, b.next_precharge);
+  else
+    gb.act = std::min(gb.act, b.next_activate);
+}
+
+void Controller::refold_group(unsigned g) {
+  group_[g] = GroupBounds{};
+  const unsigned first = g * geometry_.banks_per_group;
+  for (unsigned b = 0; b < geometry_.banks_per_group; ++b) fold_bank(first + b);
+}
+
+// Per (bank, direction) there are at most two candidates — the oldest row
+// hit (a column; every row hit of a bank shares its timing) and the oldest
+// other entry (a PRE while open, an ACT while closed) — so the winner of
+// each class is the minimum seq over allowed banks: exactly the entry a
+// front-to-back walk of one global arrival-ordered deque would pick. A
+// group whose bound (bank-level minimum, then its floor) lies after `now`
+// holds no allowed candidate and is skipped with one comparison.
+
+Controller::Pick Controller::pick_column(unsigned dir, Cycle now) {
+  Pick best;
+  const unsigned bpg = geometry_.banks_per_group;
+  for (unsigned g = 0; g < group_.size(); ++g) {
+    ++scan_stats_.entries_visited;
+    const Floors& f = floors_[g];
+    if (now < std::max(group_[g].col[dir], f.col[dir])) continue;
+    for (unsigned flat = g * bpg; flat < (g + 1) * bpg; ++flat) {
+      ++scan_stats_.entries_visited;
+      const BankRow& row = rows_[flat];
+      const Cycle ready = dir == 1 ? row.bank.next_write : row.bank.next_read;
+      if (row.hit_seq[dir] < best.seq && now >= std::max(ready, f.col[dir]))
+        best = {row.hit_seq[dir], flat};
+    }
+  }
+  return best;
+}
+
+void Controller::pick_prep(Cycle now, Pick (&best)[2]) {
+  const unsigned bpg = geometry_.banks_per_group;
+  for (unsigned g = 0; g < group_.size(); ++g) {
+    ++scan_stats_.entries_visited;
+    const Floors& f = floors_[g];
+    const GroupBounds& gb = group_[g];
+    if (now < std::max(gb.act, f.act) && now < gb.pre) continue;
+    for (unsigned flat = g * bpg; flat < (g + 1) * bpg; ++flat) {
+      ++scan_stats_.entries_visited;
+      const BankRow& row = rows_[flat];
+      const bool open = row.bank.is_open();
+      if (now < (open ? row.bank.next_precharge
+                      : std::max(row.bank.next_activate, f.act)))
+        continue;
+      for (unsigned dir = 0; dir < 2; ++dir)
+        if (row.conf_seq[dir] < best[dir].seq)
+          best[dir] = {row.conf_seq[dir], flat};
+    }
+  }
+}
+
+bool Controller::try_column(unsigned dir, Cycle now) {
+  ++scan_stats_.issue_scans;
+  scan_stats_.queue_depth_sum += q_size_[dir];
+  const Pick p = pick_column(dir, now);
+  if (p.seq == kNoSeq) return false;
+  issue_column(p.flat, dir, now);
+  ++scan_stats_.commands_issued;
+  return true;
+}
+
+bool Controller::try_prep(unsigned first, Cycle now) {
+  Pick best[2];
+  pick_prep(now, best);
+  // Accounted as the per-direction scans it replaces: the second
+  // direction counts only when the first had nothing to issue.
+  for (const unsigned dir : {first, 1 - first}) {
+    ++scan_stats_.issue_scans;
+    scan_stats_.queue_depth_sum += q_size_[dir];
+    const Pick& p = best[dir];
+    if (p.seq == kNoSeq) continue;
+    if (rows_[p.flat].bank.is_open())
+      close_bank(p.flat, now);
+    else
+      activate(p.flat, dir, now);
+    ++scan_stats_.commands_issued;
+    return true;
+  }
+  return false;
+}
+
+Cycle Controller::frfcfs_command_bound(Cycle floor) const {
+  // Write row hits schedule nothing while writes are not being served;
+  // the transitions into write service (a drain flip, the last queued
+  // read issuing) are events of their own.
+  const Cycle writes = serving_writes() ? 0 : kNoEvent;
+  Cycle at = kNoEvent;
+  for (std::size_t g = 0; g < group_.size(); ++g) {
+    const GroupBounds& gb = group_[g];
+    const Floors& f = floors_[g];
+    at = std::min({at, std::max(gb.col[0], f.col[0]),
+                   std::max({gb.col[1], f.col[1], writes}),
+                   std::max(gb.act, f.act), gb.pre});
+    if (at <= floor) break;  // nothing can come earlier than the floor
+  }
+  return at;
+}
+
+Controller::FcfsHead Controller::fcfs_head(unsigned dir) const {
+  FcfsHead h;
+  std::uint64_t oldest = kNoSeq;
+  for (unsigned flat = 0; flat < rows_.size(); ++flat) {
+    const BankRow& row = rows_[flat];
+    const std::uint64_t seq = std::min(row.hit_seq[dir], row.conf_seq[dir]);
+    if (seq < oldest) {
+      oldest = seq;
+      h.flat = static_cast<int>(flat);
+    }
+  }
+  if (h.flat < 0) return h;
+  const unsigned flat = static_cast<unsigned>(h.flat);
+  const BankRow& row = rows_[flat];
+  const Floors& f = floors_[group_of(flat)];
+  if (!row.bank.is_open()) {
+    h.at = std::max(row.bank.next_activate, f.act);
+  } else if (row.hit_seq[dir] < row.conf_seq[dir]) {
+    h.column = true;
+    h.at = std::max(dir == 1 ? row.bank.next_write : row.bank.next_read,
+                    f.col[dir]);
+  } else {
+    h.at = row.bank.next_precharge;
+  }
+  return h;
+}
+
+Cycle Controller::fcfs_command_bound(const FcfsHead (&heads)[2]) const {
+  Cycle at = heads[0].at;
+  if (!heads[1].column || serving_writes()) at = std::min(at, heads[1].at);
+  return at;
+}
+
+Cycle Controller::refresh_bound() const {
   Cycle next = kNoEvent;
-  // Every timing constraint below is of the form "allowed once now >= X",
-  // so the earliest cycle an entry *could* act is the max of its X values
-  // and the min over entries lower-bounds the next state change. Commands
-  // this query admits may still lose the one-command-per-cycle arbitration
-  // in tick(); that only wakes the caller early, never late.
-  const auto consider = [&](Cycle at) { next = std::min(next, std::max(at, now)); };
-  // `consider` clamps to >= now, so once the running minimum hits `now`
-  // nothing can lower it further — the remaining scans are skipped. The
-  // returned value is identical either way.
-
-  // Command-bound variant: while the thermal throttle is engaged, tick()
-  // only issues on cycles divisible by the throttle period, so command
-  // bounds round up to the next allowed cycle. Retirement, refresh, and
-  // the window-boundary candidates stay unrounded (never throttled), and
-  // the boundary candidate below covers the disengagement case where a
-  // command becomes issuable before its rounded bound.
-  const auto consider_cmd = [&](Cycle at) {
-    at = std::max(at, now);
-    if (throttle_engaged_)
-      at = (at + throttle_period_ - 1) / throttle_period_ * throttle_period_;
-    next = std::min(next, at);
-  };
-
-  // The write-drain hysteresis flip is itself a state change the next
-  // tick performs (even though no command issues that cycle), and it
-  // changes which columns are servable right after.
-  if (draining_writes_ ? q_size_[1] <= drain_low_ : q_size_[1] >= drain_high_)
-    return now;
-
-  // With a policy enabled, the accounting-window boundary is a state
-  // change in its own right (throttle trip/release, remap swap), so the
-  // event loop must tick it. With policies off, boundaries are lazy pure
-  // accounting and schedule nothing.
-  if (any_policy_)
-    consider(power_window_start_ + power_cfg_.window_cycles);
-
-  if (inflight_min_finish_ != kNoEvent) {
-    consider(inflight_min_finish_);
-    if (next == now) return now;
-  }
-
+  const unsigned bpr = geometry_.banks_per_rank();
   for (unsigned r = 0; r < geometry_.ranks; ++r) {
     const RankState& rank = ranks_[r];
     if (!rank.refresh_pending) {
-      consider(rank.next_refresh_due);
+      next = std::min(next, rank.next_refresh_due);
       continue;
     }
     // Refresh in progress: open banks precharge as they become eligible;
     // once all are closed the refresh fires when every bank is activatable.
     bool all_closed = true;
-    Cycle refresh_ready = now;
-    for (unsigned b = 0; b < geometry_.banks_per_rank(); ++b) {
-      const Bank& bank = banks_[r * geometry_.banks_per_rank() + b];
+    Cycle ready = 0;
+    for (unsigned b = 0; b < bpr; ++b) {
+      const Bank& bank = rows_[r * bpr + b].bank;
       if (bank.is_open()) {
         all_closed = false;
-        consider(bank.next_precharge);
+        next = std::min(next, bank.next_precharge);
       } else {
-        refresh_ready = std::max(refresh_ready, bank.next_activate);
+        ready = std::max(ready, bank.next_activate);
       }
     }
-    if (all_closed) consider(refresh_ready);
-  }
-  if (next == now) return now;
-
-  if (policy_ == SchedulingPolicy::kFcfs) {
-    // Strict FCFS only ever considers the globally oldest entry of each
-    // direction's queue.
-    for (unsigned dir = 0; dir < 2; ++dir) {
-      const int flat = oldest_bank(dir);
-      if (flat < 0) continue;
-      const Cycle at = entry_event_bound(
-          queues_[dir][static_cast<unsigned>(flat)].q.front(), dir == 1);
-      if (at != kNoEvent) consider_cmd(at);
-    }
-    return next;
-  }
-
-  // FR-FCFS: per (bank, direction) there are at most two distinct bounds —
-  // the shared column time of its row hits and the bank-level
-  // precharge/activate time of its other entries — so the scan is
-  // O(active banks), no per-entry work and no dedup scratch needed.
-  bool act_primed = false;
-  for (unsigned dir = 0; dir < 2; ++dir) {
-    const bool is_write = dir == 1;
-    for (unsigned r = 0; r < geometry_.ranks; ++r) {
-      if (closed_idx_[dir][r].items.empty()) continue;
-      if (!act_primed) {
-        prime_act_floors();
-        act_primed = true;
-      }
-      // A refresh-gated rank contributes no ACT bounds at all (the
-      // refresh's own events wake the controller), exactly as
-      // act_ready_primed would report per bank.
-      if (act_floor_[r].gated) continue;
-      for (const unsigned flat : closed_idx_[dir][r].items)
-        consider_cmd(act_ready_primed(banks_[flat],
-                                      queues_[dir][flat].q.front().d));
-      if (next == now) return now;
-    }
-    for (const unsigned flat : pre_idx_[dir].items)
-      consider_cmd(banks_[flat].next_precharge);
-    if (next == now) return now;
-    // Column candidates live in their own index (write hits schedule
-    // nothing while writes are not being served; the transitions into
-    // write service are observed events themselves).
-    if (is_write && !serving_writes()) continue;
-    if (col_idx_[dir].items.empty()) continue;
-    prime_col_floors(is_write);
-    for (const unsigned flat : col_idx_[dir].items)
-      consider_cmd(column_ready_primed(
-          banks_[flat], queues_[dir][flat].q.front().d, is_write));
+    if (all_closed) next = std::min(next, ready);
   }
   return next;
+}
+
+Cycle Controller::event_bound(Cycle cmd, Cycle floor) const {
+  // The write-drain hysteresis flip is itself a state change the next
+  // tick performs (even though no command issues that cycle), and it
+  // changes which columns are servable right after.
+  if (drain_flip_pending()) return floor;
+  Cycle next = kNoEvent;
+  if (cmd != kNoEvent) {
+    next = std::max(cmd, floor);
+    // While the thermal throttle is engaged, tick() only issues on cycles
+    // divisible by the throttle period, so command bounds round up.
+    // Retirement, refresh and the window boundary stay unrounded; the
+    // boundary covers disengagement, when a command becomes issuable
+    // before its rounded bound.
+    if (throttle_engaged_)
+      next = (next + throttle_period_ - 1) / throttle_period_ *
+             throttle_period_;
+  }
+  // With a policy enabled, the accounting-window boundary is a state
+  // change in its own right (throttle trip/release, remap swap). With
+  // policies off, boundaries are lazy pure accounting.
+  if (any_policy_)
+    next = std::min(
+        next, std::max(power_window_start_ + power_cfg_.window_cycles, floor));
+  next = std::min(next, std::max(inflight_min_finish_, floor));
+  return std::min(next, std::max(refresh_bound(), floor));
+}
+
+Cycle Controller::entry_event_bound(const Request& e, bool is_write) const {
+  const unsigned flat = e.d.flat_bank(geometry_);
+  const Bank& bank = rows_[flat].bank;
+  const Floors& f = floors_[group_of(flat)];
+  if (bank.open_row == static_cast<std::int64_t>(e.d.row)) {
+    // A write row hit is only a candidate while writes are being served.
+    if (is_write && !serving_writes()) return kNoEvent;
+    return std::max(is_write ? bank.next_write : bank.next_read,
+                    f.col[is_write ? 1 : 0]);
+  }
+  if (bank.is_open()) return bank.next_precharge;  // row conflict
+  return std::max(bank.next_activate, f.act);      // closed
+}
+
+void Controller::rebuild_next_event() {
+  // The same bound a tick leaves, unclamped: next_event_cycle() clamps to
+  // the query cycle.
+  prime_floors();
+  Cycle cmd;
+  if (policy_ == SchedulingPolicy::kFcfs) {
+    const FcfsHead heads[2] = {fcfs_head(0), fcfs_head(1)};
+    cmd = fcfs_command_bound(heads);
+  } else {
+    cmd = frfcfs_command_bound(0);
+  }
+  next_event_ = event_bound(cmd, 0);
 }
 
 void Controller::tick(Cycle now) {
@@ -723,25 +706,64 @@ void Controller::tick(Cycle now) {
   // Update write-drain mode.
   if (q_size_[1] >= drain_high_) draining_writes_ = true;
   if (q_size_[1] <= drain_low_) draining_writes_ = false;
-  const bool serve_writes = serving_writes();
 
-  // One command slot per cycle: refresh first, then columns, then prep.
-  if (handle_refresh(now)) return;
-  // Thermal throttle: while engaged, command issue is gated to one cycle
-  // in `throttle_period` (refresh above is exempt — retention is not
-  // negotiable). Retirement and drain bookkeeping already ran.
-  if (throttle_engaged_ && now % throttle_period_ != 0) return;
-  if (serve_writes) {
-    if (try_issue_column(true, now)) return;
-    if (try_issue_column(false, now)) return;  // opportunistic reads
-    if (try_issue_bank_prep(true, now)) return;
-    if (try_issue_bank_prep(false, now)) return;
-  } else {
-    if (try_issue_column(false, now)) return;
-    if (try_issue_bank_prep(false, now)) return;
-    // Idle read path: prep writes in the background.
-    if (try_issue_bank_prep(true, now)) return;
+  // One command slot per cycle: refresh first. Thermal throttle: while
+  // engaged, command issue is gated to one cycle in `throttle_period`
+  // (refresh is exempt — retention is not negotiable).
+  const bool may_issue = !handle_refresh(now) &&
+                         (!throttle_engaged_ || now % throttle_period_ == 0);
+  if (policy_ == SchedulingPolicy::kFcfs) {
+    tick_fcfs(now, may_issue);
+    return;
   }
+  if (may_issue) {
+    // Columns first (writes, then opportunistic reads, while serving
+    // writes), then bank prep; the idle read path preps writes in the
+    // background.
+    if (serving_writes())
+      try_column(1, now) || try_column(0, now) || try_prep(1, now);
+    else
+      try_column(0, now) || try_prep(0, now);
+  }
+  // The bound for the post-tick state: the earliest cycle > now whose
+  // tick could change anything. The group bounds and floors are already
+  // current, so this is one max/min per group.
+  next_event_ = event_bound(frfcfs_command_bound(now + 1), now + 1);
+}
+
+void Controller::tick_fcfs(Cycle now, bool may_issue) {
+  // Strict FCFS considers only each direction's globally oldest entry.
+  const FcfsHead heads[2] = {fcfs_head(0), fcfs_head(1)};
+  bool issued = false;
+  if (may_issue) {
+    const auto try_head = [&](unsigned dir, bool column) {
+      ++scan_stats_.issue_scans;
+      scan_stats_.queue_depth_sum += q_size_[dir];
+      scan_stats_.entries_visited += rows_.size();
+      const FcfsHead& h = heads[dir];
+      if (h.flat < 0 || h.column != column || now < h.at) return false;
+      const unsigned flat = static_cast<unsigned>(h.flat);
+      if (column)
+        issue_column(flat, dir, now);
+      else if (!rows_[flat].bank.is_open())
+        activate(flat, dir, now);
+      else
+        close_bank(flat, now);
+      ++scan_stats_.commands_issued;
+      return true;
+    };
+    issued = serving_writes()
+                 ? try_head(1, true) || try_head(0, true) ||
+                       try_head(1, false) || try_head(0, false)
+                 : try_head(0, true) || try_head(0, false) ||
+                       try_head(1, false);
+  }
+  if (!issued) {
+    next_event_ = event_bound(fcfs_command_bound(heads), now + 1);
+    return;
+  }
+  const FcfsHead after[2] = {fcfs_head(0), fcfs_head(1)};
+  next_event_ = event_bound(fcfs_command_bound(after), now + 1);
 }
 
 void Controller::power_advance(Cycle now) {
@@ -785,12 +807,12 @@ void Controller::close_power_window() {
 void Controller::maybe_remap() {
   if (windows_since_swap_ < power_cfg_.remap_min_windows) return;
   if (geometry_.ranks < 2) return;
-  // Hottest and coolest rank by full-precision Q16 temperature; ties go
+  // Hottest and coolest rank by full-precision Q32 temperature; ties go
   // to the lowest rank index (deterministic).
   unsigned hot = 0, cold = 0;
   for (unsigned r = 1; r < geometry_.ranks; ++r) {
-    if (thermal_[r].temp_q16() > thermal_[hot].temp_q16()) hot = r;
-    if (thermal_[r].temp_q16() < thermal_[cold].temp_q16()) cold = r;
+    if (thermal_[r].temp_q32() > thermal_[hot].temp_q32()) hot = r;
+    if (thermal_[r].temp_q32() < thermal_[cold].temp_q32()) cold = r;
   }
   if (hot == cold) return;
   if (thermal_[hot].temp_mc() - thermal_[cold].temp_mc() <
@@ -802,14 +824,11 @@ void Controller::maybe_remap() {
   // only idle banks keeps every in-flight invariant untouched (bank
   // timing state is physical and travels with the physical bank).
   const unsigned bpr = geometry_.banks_per_rank();
-  const auto idle = [&](unsigned flat) {
-    return queues_[0][flat].q.empty() && queues_[1][flat].q.empty();
-  };
   int src = -1;
   std::uint64_t src_activity = 0;
   for (unsigned b = 0; b < bpr; ++b) {
     const unsigned flat = hot * bpr + b;
-    if (!idle(flat)) continue;
+    if (!bank_idle(flat)) continue;
     if (src < 0 || bank_activity_[flat] > src_activity) {
       src = static_cast<int>(flat);
       src_activity = bank_activity_[flat];
@@ -820,7 +839,7 @@ void Controller::maybe_remap() {
   std::uint64_t dst_activity = 0;
   for (unsigned b = 0; b < bpr; ++b) {
     const unsigned flat = cold * bpr + b;
-    if (!idle(flat)) continue;
+    if (!bank_idle(flat)) continue;
     if (dst < 0 || bank_activity_[flat] < dst_activity) {
       dst = static_cast<int>(flat);
       dst_activity = bank_activity_[flat];
@@ -898,8 +917,8 @@ void Controller::save(serial::Sink& s) const {
     for (const analysis::CommandCounts& c : window_counts_) serial::put(s, c);
     for (const std::uint64_t a : bank_activity_) s.u64(a);
     for (unsigned r = 0; r < geometry_.ranks; ++r) {
-      s.i64(thermal_[r].temp_q16());
-      s.i64(thermal_[r].peak_q16());
+      s.i64(thermal_[r].temp_q32());
+      s.i64(thermal_[r].peak_q32());
       s.u64(rank_energy_fj_[r]);
     }
     serial::put(s, energy_total_);
@@ -912,8 +931,9 @@ void Controller::save(serial::Sink& s) const {
     if (remap_active_)
       for (const std::uint32_t p : remap_) s.u32(p);
   }
-  s.u64(banks_.size());
-  for (const Bank& b : banks_) {
+  s.u64(rows_.size());
+  for (const BankRow& row : rows_) {
+    const Bank& b = row.bank;
     s.i64(b.open_row);
     s.u64(b.next_activate);
     s.u64(b.next_read);
@@ -922,8 +942,8 @@ void Controller::save(serial::Sink& s) const {
   }
   s.u64(ranks_.size());
   for (const RankState& r : ranks_) {
-    s.u64(r.act_window.size());
-    for (const Cycle c : r.act_window) s.u64(c);
+    s.u64(r.acts);
+    for (unsigned i = 0; i < r.acts; ++i) s.u64(r.act_window[i]);
     s.u64(r.last_act);
     s.b(r.have_last_act);
     s.u32(r.last_act_bg);
@@ -931,12 +951,13 @@ void Controller::save(serial::Sink& s) const {
     s.b(r.refresh_pending);
   }
   for (unsigned dir = 0; dir < 2; ++dir) {
-    for (const BankQueue& bq : queues_[dir]) {
-      s.u64(bq.q.size());
-      for (const Request& e : bq.q) save_request(s, e);
-      s.u32(bq.match_count);
+    for (const BankLinks& l : links_) {
+      std::uint64_t n = 0;
+      for (Slot e = l.head[dir]; e != kNil; e = pool_[dir][e].next) ++n;
+      s.u64(n);
+      for (Slot e = l.head[dir]; e != kNil; e = pool_[dir][e].next)
+        save_request(s, pool_[dir][e].r);
     }
-    s.u32(q_size_[dir]);
   }
   s.u64(next_seq_);
   s.b(draining_writes_);
@@ -964,9 +985,9 @@ void Controller::load(serial::Source& s) {
     for (analysis::CommandCounts& c : window_counts_) serial::get(s, c);
     for (std::uint64_t& a : bank_activity_) a = s.u64();
     for (unsigned r = 0; r < geometry_.ranks; ++r) {
-      const std::int64_t t_q16 = s.i64();
-      const std::int64_t peak_q16 = s.i64();
-      thermal_[r].set_state(t_q16, peak_q16);
+      const std::int64_t t_q32 = s.i64();
+      const std::int64_t peak_q32 = s.i64();
+      thermal_[r].set_state(t_q32, peak_q32);
       rank_energy_fj_[r] = s.u64();
     }
     serial::get(s, energy_total_);
@@ -986,9 +1007,10 @@ void Controller::load(serial::Source& s) {
         remap_inv_[remap_[i]] = i;
     }
   }
-  if (s.u64() != banks_.size())
+  if (s.u64() != rows_.size())
     throw std::runtime_error("controller bank count mismatch");
-  for (Bank& b : banks_) {
+  for (BankRow& row : rows_) {
+    Bank& b = row.bank;
     b.open_row = s.i64();
     b.next_activate = s.u64();
     b.next_read = s.u64();
@@ -998,24 +1020,29 @@ void Controller::load(serial::Source& s) {
   if (s.u64() != ranks_.size())
     throw std::runtime_error("controller rank count mismatch");
   for (RankState& r : ranks_) {
-    r.act_window.clear();
     const std::size_t acts = s.count(8);
-    for (std::size_t i = 0; i < acts; ++i) r.act_window.push_back(s.u64());
+    if (acts > 4) throw std::runtime_error("controller tFAW window too long");
+    r.acts = static_cast<unsigned>(acts);
+    for (unsigned i = 0; i < r.acts; ++i) r.act_window[i] = s.u64();
     r.last_act = s.u64();
     r.have_last_act = s.b();
     r.last_act_bg = s.u32();
     r.next_refresh_due = s.u64();
     r.refresh_pending = s.b();
   }
+  reset_queues();
   for (unsigned dir = 0; dir < 2; ++dir) {
-    for (BankQueue& bq : queues_[dir]) {
-      bq.q.clear();
+    for (unsigned flat = 0; flat < rows_.size(); ++flat) {
       const std::size_t n = s.count(33);
-      for (std::size_t i = 0; i < n; ++i)
-        bq.q.push_back(load_request(s));
-      bq.match_count = s.u32();
+      if (q_size_[dir] + n > pool_[dir].size())
+        throw std::runtime_error("controller queue exceeds its size");
+      for (std::size_t i = 0; i < n; ++i) {
+        const Request e = load_request(s);
+        if (e.d.flat_bank(geometry_) != flat)
+          throw std::runtime_error("controller request in the wrong bank");
+        push_entry(dir, flat, e);
+      }
     }
-    q_size_[dir] = s.u32();
   }
   next_seq_ = s.u64();
   draining_writes_ = s.b();
@@ -1039,18 +1066,7 @@ void Controller::load(serial::Source& s) {
   serial::get(s, stats_);
   serial::get(s, scan_stats_);
 
-  // Re-derive everything the serialized state determines: the candidate
-  // indexes (membership from FIFO + bank state; item order is
-  // behavior-neutral) and the next-event memo.
-  const unsigned total = geometry_.total_banks();
-  for (unsigned dir = 0; dir < 2; ++dir) {
-    active_[dir].init(total);
-    col_idx_[dir].init(total);
-    pre_idx_[dir].init(total);
-    for (auto& idx : closed_idx_[dir]) idx.init(total);
-    for (unsigned flat = 0; flat < total; ++flat) sync_indexes(dir, flat);
-  }
-  next_event_valid_ = false;
+  rebuild_next_event();
 }
 
 }  // namespace secddr::dram

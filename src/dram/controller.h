@@ -4,21 +4,25 @@
 //
 // Requests are organized per (bank, direction): each entry carries a
 // global arrival sequence number, so FR-FCFS age ordering is recovered by
-// comparing `seq` across bank FIFO heads instead of walking one global
-// deque. The issue and next-event scans therefore visit O(active banks)
-// records instead of O(queue depth) entries — a bank whose FIFO is empty
-// costs nothing, and a bank with fifty queued row hits costs the same as
-// a bank with one.
+// comparing `seq` across banks instead of walking one global deque. One
+// compact table row per bank holds the bank's timing state and, per
+// direction, the seq of its oldest open-row hit and of its oldest
+// conflict, kept current on enqueue, column issue, ACT and PRE. Per
+// (rank, bank group) the controller also keeps the earliest bank-level
+// bound of each command class and the shared rank/channel timing floors,
+// so the earliest cycle any command could issue is one max/min per group.
+// A tick() scans only the groups whose bound has come due, picks the
+// command, and leaves the next-event bound for the post-tick state, which
+// next_event_cycle() returns as a field read.
 //
 // Queue sizes follow Table I (64 read + 64 write entries, totals across
-// banks). The data-bus occupancy of writes is `Timings::write_burst_cycles`,
-// which is where SecDDR's eWCRC burst extension (BL8 -> BL10) costs
-// bandwidth.
+// banks); each direction's entries share one pool of that size. The
+// data-bus occupancy of writes is `Timings::write_burst_cycles`, which is
+// where SecDDR's eWCRC burst extension (BL8 -> BL10) costs bandwidth.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "common/serial.h"
@@ -89,11 +93,13 @@ static_assert(serial::lists_all_fields<ControllerStats>());
 /// (which the determinism tests compare bit-for-bit). `bench/speed` reads
 /// them to show entries visited per issued command.
 struct ScanStats {
-  std::uint64_t issue_scans = 0;      ///< try_issue_* invocations
-  std::uint64_t entries_visited = 0;  ///< bank/entry records examined
-  std::uint64_t queue_depth_sum = 0;  ///< direction queue depth per scan
-                                      ///< (what a global-deque scan costs)
-  std::uint64_t commands_issued = 0;  ///< scans that issued a command
+  std::uint64_t issue_scans = 0;      ///< (class, direction) scans tried
+  std::uint64_t entries_visited = 0;  ///< group records, bank rows and FIFO
+                                      ///< entries examined
+  std::uint64_t queue_depth_sum = 0;  ///< scanned direction's queue depth
+                                      ///< per scan (what a global-deque
+                                      ///< walk costs)
+  std::uint64_t commands_issued = 0;  ///< scheduler commands (no refresh)
 
   static auto fields(auto& s) {
     return std::tie(s.issue_scans, s.entries_visited, s.queue_depth_sum,
@@ -157,9 +163,12 @@ class Controller {
   /// transition). Every tick strictly before the returned cycle is a
   /// guaranteed no-op; the returned cycle itself may still be one (the
   /// estimate errs early, never late). Refresh keeps this finite
-  /// (<= ~tREFI away) even for an idle controller. Memoized: recomputed
-  /// only after a state change, O(1) on the no-op fast path.
-  Cycle next_event_cycle(Cycle now) const;
+  /// (<= ~tREFI away) even for an idle controller. A field read: tick()
+  /// leaves the bound, enqueue() folds new entries into it and load()
+  /// rebuilds it.
+  Cycle next_event_cycle(Cycle now) const {
+    return std::max(next_event_, now);
+  }
 
   /// Completions since the last call (caller drains and clears).
   std::vector<Completion>& completions() { return completions_; }
@@ -220,11 +229,11 @@ class Controller {
   /// completions, bus history, stats; when power accounting is enabled,
   /// the power/thermal block — remap table, window counts, thermal nodes,
   /// throttle state — is serialized first so queued requests re-decode
-  /// through the restored bank permutation). The candidate indexes are rebuilt
-  /// on load (their order is behavior-neutral: every selection is a
-  /// strict min over seq/bounds) and the next-event memo is invalidated;
-  /// `Request::d` is recomputed from the address mapping. load() throws
-  /// std::runtime_error on a geometry mismatch.
+  /// through the restored bank permutation). The per-bank table's hit and
+  /// conflict positions, the queue depths and the next-event bound are
+  /// derived state, rebuilt on load; `Request::d` is recomputed from the
+  /// address mapping. load() throws std::runtime_error on a geometry
+  /// mismatch or a queue larger than its configured size.
   void save(serial::Sink& s) const;
   void load(serial::Source& s);
 
@@ -234,7 +243,8 @@ class Controller {
     Cycle finish;
   };
   struct RankState {
-    std::deque<Cycle> act_window;  ///< ACT timestamps for tFAW
+    Cycle act_window[4] = {};  ///< last ACT timestamps, oldest first (tFAW)
+    unsigned acts = 0;         ///< valid entries in act_window
     Cycle last_act = 0;
     bool have_last_act = false;
     unsigned last_act_bg = 0;
@@ -242,79 +252,147 @@ class Controller {
     bool refresh_pending = false;
   };
 
-  bool try_issue_column(bool is_write, Cycle now);
-  bool try_issue_bank_prep(bool is_write, Cycle now);
+  /// Index into a direction's request pool; kNil ends a FIFO.
+  using Slot = std::uint16_t;
+  static constexpr Slot kNil = 0xffff;
+  static constexpr std::uint64_t kNoSeq = ~std::uint64_t{0};
+
+  /// A queued request and its links in its bank's arrival-ordered FIFO.
+  struct Node {
+    Request r;
+    Slot prev = kNil, next = kNil;
+  };
+
+  /// One row of the per-bank scheduling table: the bank's timing state
+  /// and, per direction, the seq of the oldest entry hitting the open row
+  /// and of the oldest entry that does not (while the bank is closed every
+  /// entry counts as a conflict, so `conf_seq` is the FIFO head). kNoSeq
+  /// marks "none"; the FIFO head is always the older of the two.
+  struct BankRow {
+    Bank bank;
+    std::uint64_t hit_seq[2] = {kNoSeq, kNoSeq};
+    std::uint64_t conf_seq[2] = {kNoSeq, kNoSeq};
+  };
+  /// Pool positions behind a BankRow's seqs (read only when a command
+  /// issues or an entry arrives, so kept out of the scanned rows).
+  struct BankLinks {
+    Slot head[2] = {kNil, kNil};
+    Slot tail[2] = {kNil, kNil};
+    Slot hit[2] = {kNil, kNil};
+    Slot conf[2] = {kNil, kNil};
+  };
+
+  /// Timing floors shared by every bank of one (rank, bank group): the
+  /// channel/rank-level parts of a column bound (tCCD vs the last column,
+  /// data-bus availability and turnaround) per direction, and of an ACT
+  /// bound (tFAW, tRRD vs the rank's last ACT; kNoEvent while refresh
+  /// gates the rank). A bank's full bound is the max of its own `next_*`
+  /// field and its group's floor.
+  struct Floors {
+    Cycle col[2];
+    Cycle act;
+  };
+  /// Per (rank, bank group): the minimum bank-level bound of each
+  /// candidate class, so the group's earliest candidate is one max() with
+  /// its floor. col[dir] over open banks with a row hit, `act` over closed
+  /// banks with entries, `pre` (no floor) over open banks with a conflict.
+  /// Kept current with the table: an arriving entry can only add a
+  /// candidate (a min-fold), a command re-folds its bank's group, and the
+  /// rank-wide tWTR and tRFC pushes lift every group of the rank alike.
+  struct GroupBounds {
+    Cycle col[2] = {kNoEvent, kNoEvent};
+    Cycle act = kNoEvent;
+    Cycle pre = kNoEvent;
+  };
+  /// The oldest allowed candidate of one command class.
+  struct Pick {
+    std::uint64_t seq = kNoSeq;
+    unsigned flat = 0;
+  };
+  /// Strict FCFS: a direction's oldest entry and its one possible command.
+  struct FcfsHead {
+    int flat = -1;
+    bool column = false;  ///< row hit (else ACT or PRE)
+    Cycle at = kNoEvent;  ///< earliest cycle that command is allowed
+  };
+
   bool handle_refresh(Cycle now);
-  void issue_column(unsigned flat, std::size_t pos, bool is_write, Cycle now);
-  /// Earliest cycle a column command for an open row hit in `e`'s bank
-  /// satisfies every timing constraint (bank column timing, tCCD, data-bus
-  /// availability + turnaround). Bank-level: every same-bank row hit
-  /// shares it. Single source of truth: both the issue predicate
-  /// (allowed == now >= bound) and the memoized next-event bounds derive
-  /// from it, so they cannot drift apart.
-  Cycle column_ready_at(const Request& e, bool is_write) const;
-  /// Earliest cycle an ACT for `e` (a closed bank) satisfies tRC/tFAW/tRRD;
-  /// kNoEvent while the rank's refresh gates activates (refresh events are
-  /// tracked separately).
-  Cycle act_ready_at(const Request& e) const;
+  /// Removes `flat`'s oldest row hit in `dir` and issues its column.
+  void issue_column(unsigned flat, unsigned dir, Cycle now);
+  /// ACTIVATE for the head of `flat`'s `dir` FIFO.
+  void activate(unsigned flat, unsigned dir, Cycle now);
   void apply_write_to_read_penalty(const Request& e, Cycle data_end);
-  Cycle compute_next_event_cycle(Cycle now) const;
   /// Whether the next tick would serve write columns (same predicate the
   /// tick uses, against the current drain flag and queue states).
   bool serving_writes() const {
     return draining_writes_ || (q_size_[0] == 0 && q_size_[1] != 0);
   }
-  /// Earliest cycle at which `e` could act given current bank state
-  /// (column for a row hit, precharge for a conflict, activate for a
-  /// closed bank); kNoEvent when gated by a pending refresh (whose own
-  /// events are tracked separately).
+  /// A drain-watermark flip the next tick will perform.
+  bool drain_flip_pending() const {
+    return draining_writes_ ? q_size_[1] <= drain_low_
+                            : q_size_[1] >= drain_high_;
+  }
+
+  // --- scheduling table --------------------------------------------------
+  /// (rank, bank group) index of a flat bank: flat / banks_per_group.
+  unsigned group_of(unsigned flat) const { return group_of_[flat]; }
+  /// Re-derive floors_ after the state they depend on changes: the column
+  /// floors after a column command, one rank's ACT floors after an ACT or
+  /// a refresh-gating change, everything after load().
+  void prime_col_floors();
+  void prime_act_floors(unsigned rank);
+  void prime_floors();
+  /// Min-folds `flat`'s candidates into its group's bounds.
+  void fold_bank(unsigned flat);
+  /// Re-derives group `g`'s bounds from its rows (after a command).
+  void refold_group(unsigned g);
+  /// FR-FCFS class scans, visiting only groups whose bound has come due:
+  /// the oldest allowed row hit (column) of `dir`, and the oldest allowed
+  /// non-hit (ACT/PRE) of each direction (one scan serves both).
+  Pick pick_column(unsigned dir, Cycle now);
+  void pick_prep(Cycle now, Pick (&best)[2]);
+  /// A class scan plus its issue; false when nothing is allowed. try_prep
+  /// serves `first` before the other direction.
+  bool try_column(unsigned dir, Cycle now);
+  bool try_prep(unsigned first, Cycle now);
+  /// Earliest command over group_ and floors_ (FR-FCFS); stops early
+  /// once the answer is <= `floor`, which event_bound() clamps up to.
+  Cycle frfcfs_command_bound(Cycle floor) const;
+  FcfsHead fcfs_head(unsigned dir) const;
+  /// Earliest command for the two strict-FCFS heads.
+  Cycle fcfs_command_bound(const FcfsHead (&heads)[2]) const;
+  /// tick()'s strict-FCFS step: issue (if allowed) and leave the bound.
+  void tick_fcfs(Cycle now, bool may_issue);
+  /// The next-event bound given the earliest command bound `cmd`: folds
+  /// throttle rounding, drain flips, policy-window boundaries, read
+  /// retirement and refresh, clamped to >= `floor`.
+  Cycle event_bound(Cycle cmd, Cycle floor) const;
+  Cycle refresh_bound() const;
+  /// Earliest cycle a newly queued `e` could act (enqueue-time fold).
   Cycle entry_event_bound(const Request& e, bool is_write) const;
-  /// Folds a possibly-earlier event into the memoized next-event cache.
-  /// Mutations made *inside* tick() never need this: a mutating tick only
-  /// runs once the cached event time has been reached, so the cache
-  /// expires and the next query recomputes. Only out-of-tick mutations
-  /// (enqueue) can create an event earlier than a still-live cache.
-  void observe_event_candidate(Cycle at) const {
-    if (next_event_valid_ && at < next_event_cache_) next_event_cache_ = at;
+  /// Folds a possibly-earlier event into next_event_ (enqueue only: a
+  /// tick() leaves a fresh bound).
+  void observe_event_candidate(Cycle at) {
+    next_event_ = std::min(next_event_, at);
   }
 
-  // Scan-invariant timing floors, primed once per bank scan. Each scan
-  // visits O(active banks) records; the channel/rank-level parts of
-  // column_ready_at()/act_ready_at() (tCCD vs the last column, bus
-  // turnaround, tFAW/tRRD vs the last activate) are identical for every
-  // bank of a rank, so hoisting them leaves one max() over two or three
-  // precomputed values per bank. The primed forms are exact value-level
-  // equivalents of the *_ready_at functions.
-  void prime_col_floors(bool is_write) const;
-  void prime_act_floors() const;
-  Cycle column_ready_primed(const Bank& bank, const DecodedAddr& d,
-                            bool is_write) const {
-    Cycle at = is_write ? bank.next_write : bank.next_read;
-    if (have_last_col_)
-      at = std::max(at, d.bank_group == last_col_bg_ &&
-                                d.rank == last_col_rank_
-                            ? col_ccd_same_
-                            : col_ccd_diff_);
-    return std::max(at, col_bus_floor_[d.rank]);
-  }
-  Cycle act_ready_primed(const Bank& bank, const DecodedAddr& d) const {
-    const ActFloor& f = act_floor_[d.rank];
-    if (f.gated) return kNoEvent;
-    return std::max(bank.next_activate,
-                    d.bank_group == ranks_[d.rank].last_act_bg ? f.same_bg
-                                                               : f.diff_bg);
-  }
-
-  /// Re-derives `flat`'s membership in the candidate indexes of `dir`
-  /// (column / precharge / closed-per-rank) from its FIFO and bank state.
-  void sync_indexes(unsigned dir, unsigned flat);
-  /// Closes a bank via PRECHARGE and re-syncs its index membership.
+  // --- per-bank FIFOs ----------------------------------------------------
+  /// Empties every FIFO and both pools (bank timing state is kept).
+  void reset_queues();
+  /// The queued write to `addr`'s line in `flat`'s FIFO, or kNil.
+  Slot find_write(unsigned flat, Addr addr) const;
+  /// Appends `e` to `flat`'s `dir` FIFO and classifies it.
+  void push_entry(unsigned dir, unsigned flat, const Request& e);
+  /// Re-derives `flat`'s hit/conflict heads in both directions from its
+  /// open row (after ACT or PRE).
+  void reclassify(unsigned flat);
+  /// Closes a bank via PRECHARGE and reclassifies its entries.
   void close_bank(unsigned flat, Cycle now);
-  /// Oldest entry (min seq) across the direction's bank FIFO heads: the
-  /// strict-FCFS candidate. Returns the owning flat bank or -1 when empty.
-  int oldest_bank(unsigned dir) const;
-  /// Recounts open-row matches for both of `flat`'s FIFOs (after ACT).
-  void recount_bank(unsigned flat);
+  bool bank_idle(unsigned flat) const {
+    return links_[flat].head[0] == kNil && links_[flat].head[1] == kNil;
+  }
+  /// Rebuilds the next-event bound from the current state (after load).
+  void rebuild_next_event();
 
   // --- dynamic power / thermal internals -------------------------------
   /// Decodes `addr` and applies the logical->physical bank permutation
@@ -339,58 +417,19 @@ class Controller {
   unsigned drain_low_, drain_high_;
   bool draining_writes_ = false;
 
-  std::vector<Bank> banks_;
+  std::vector<BankRow> rows_;        ///< the scheduling table, per flat bank
+  std::vector<BankLinks> links_;     ///< FIFO positions, per flat bank
   std::vector<RankState> ranks_;
-
-  // Per-bank request FIFOs, indexed [is_write][flat_bank], plus the
-  // ready-bank index: the flat ids of banks with a nonempty FIFO
-  // (unordered; selection is by min `seq`, so order cannot matter) and
-  // each bank's position in that list for O(1) removal.
-  std::vector<BankQueue> queues_[2];
-
-  /// Swap-pop membership list over flat bank ids (order arbitrary —
-  /// selection is always by min seq or min bound, so order cannot
-  /// matter).
-  struct BankIndex {
-    std::vector<unsigned> items;
-    std::vector<std::int32_t> pos;
-    void init(unsigned banks) {
-      pos.assign(banks, -1);
-      items.clear();
-      items.reserve(banks);
-    }
-    void set(unsigned flat, bool want) {
-      std::int32_t& p = pos[flat];
-      if (want == (p >= 0)) return;
-      if (want) {
-        p = static_cast<std::int32_t>(items.size());
-        items.push_back(flat);
-      } else {
-        const unsigned last = items.back();
-        items[static_cast<std::size_t>(p)] = last;
-        pos[last] = p;
-        items.pop_back();
-        p = -1;
-      }
-    }
-  };
-  // Bank indexes, per direction: every bank with a nonempty FIFO
-  // (strict-FCFS head lookup), banks a column scan can pick from (open,
-  // >= 1 queued row hit), banks a precharge can serve (open, >= 1 queued
-  // conflict), and closed banks with pending entries grouped by rank —
-  // so a rank whose tFAW/tRRD floor blocks every ACT is skipped as one
-  // comparison instead of one per bank.
-  BankIndex active_[2];
-  BankIndex col_idx_[2];
-  BankIndex pre_idx_[2];
-  std::vector<BankIndex> closed_idx_[2];  ///< [dir][rank]
+  /// Request pools per direction (capacity = queue size), shared by every
+  /// bank's FIFO; `free_` heads each pool's free list.
+  std::vector<Node> pool_[2];
+  Slot free_[2] = {kNil, kNil};
   unsigned q_size_[2] = {0, 0};
   std::uint64_t next_seq_ = 0;
 
   std::vector<InflightRead> inflight_reads_;
   /// Min finish over inflight_reads_ (kNoEvent when empty), maintained on
-  /// push and during tick()'s retire pass so compute_next_event_cycle()
-  /// reads it in O(1).
+  /// push and during tick()'s retire pass.
   Cycle inflight_min_finish_ = kNoEvent;
   std::vector<Completion> completions_;
 
@@ -403,18 +442,12 @@ class Controller {
   unsigned last_col_bg_ = 0;
   unsigned last_col_rank_ = 0;
 
-  // next_event_cycle() memo (valid until the next state mutation).
-  mutable Cycle next_event_cache_ = 0;
-  mutable bool next_event_valid_ = false;
-
-  // Primed-floor scratch (see prime_col_floors / prime_act_floors).
-  struct ActFloor {
-    Cycle same_bg = 0, diff_bg = 0;
-    bool gated = false;
-  };
-  mutable Cycle col_ccd_same_ = 0, col_ccd_diff_ = 0;
-  mutable std::vector<Cycle> col_bus_floor_;  ///< per rank
-  mutable std::vector<ActFloor> act_floor_;   ///< per rank
+  /// next_event_cycle()'s bound: left by every tick(), lowered by
+  /// enqueue(), rebuilt by load(). 0 until the first tick.
+  Cycle next_event_ = 0;
+  std::vector<unsigned> group_of_;  ///< flat bank -> group
+  std::vector<GroupBounds> group_;       ///< per (rank, bank group)
+  std::vector<Floors> floors_;  ///< per group, always current
 
   ControllerStats stats_;
   ScanStats scan_stats_;

@@ -21,30 +21,10 @@ void DramSystem::tick_core_cycle() {
   while (accum_ >= core_khz_) {
     accum_ -= core_khz_;
     // Event-driven mode: a memory tick strictly before the controller's
-    // next event is a guaranteed no-op — skip the call (the memoized
-    // query makes this O(1)). When the controller is command-saturated,
-    // every query recomputes just to answer "tick now"; a streak of such
-    // answers switches to unconditionally ticking for a burst, which
-    // changes nothing semantically (ticking is always correct) but stops
-    // the query traffic while the bus is busy.
-    if (event_driven_) {
-      if (gate_burst_ > 0) {
-        --gate_burst_;
-      } else if (controller_.next_event_cycle(mem_cycle_) > mem_cycle_) {
-        gate_streak_ = 0;
-        gate_burst_len_ = kGateBurst;
-        ++mem_cycle_;
-        continue;
-      } else if (++gate_streak_ >= kGateBurst) {
-        // Saturated: tick without querying for a burst, doubling the
-        // burst while the saturation persists (every query in between
-        // still answered "tick now").
-        gate_streak_ = 0;
-        gate_burst_ = gate_burst_len_;
-        gate_burst_len_ = std::min(gate_burst_len_ * 2, kGateBurstCap);
-      }
-    }
-    controller_.tick(mem_cycle_);
+    // next event is a guaranteed no-op — skip the call (the bound is a
+    // field every tick leaves behind, so the check is O(1)).
+    if (!event_driven_ || controller_.next_event_cycle(mem_cycle_) <= mem_cycle_)
+      controller_.tick(mem_cycle_);
     ++mem_cycle_;
   }
   // Drain controller completions into the core-clock domain.
@@ -57,14 +37,6 @@ void DramSystem::tick_core_cycle() {
 }
 
 Cycle DramSystem::idle_core_cycles() const {
-  // Saturation burst (see tick_core_cycle): the controller is issuing on
-  // nearly every cycle, so the answer would be 0 anyway — return it
-  // without touching the controller's next-event scan. Understating idle
-  // is always exact (a skip is optional), and the burst expires within
-  // at most kGateBurstCap memory ticks (it starts at kGateBurst and
-  // doubles only while every query in between still answers "tick now"),
-  // after which the precise query resumes.
-  if (event_driven_ && gate_burst_ > 0) return 0;
   const Cycle event = controller_.next_event_cycle(mem_cycle_);
   if (event == kNoEvent) return kNoEvent;
   // The controller must run tick(event), which takes `event - mem_cycle_ + 1`
@@ -106,9 +78,6 @@ std::vector<Completion> DramSystem::drain_completions() {
 
 void DramSystem::save(serial::Sink& s) const {
   controller_.save(s);
-  s.u32(gate_streak_);
-  s.u32(gate_burst_);
-  s.u32(gate_burst_len_);
   s.u64(core_cycle_);
   s.u64(mem_cycle_);
   s.u64(accum_);
@@ -117,9 +86,6 @@ void DramSystem::save(serial::Sink& s) const {
 
 void DramSystem::load(serial::Source& s) {
   controller_.load(s);
-  gate_streak_ = s.u32();
-  gate_burst_ = s.u32();
-  gate_burst_len_ = s.u32();
   core_cycle_ = s.u64();
   mem_cycle_ = s.u64();
   accum_ = s.u64();

@@ -22,11 +22,11 @@ class DramSystem {
   /// Enqueue a line transaction. Returns false when the queue is full.
   bool enqueue(Addr addr, bool is_write, std::uint64_t tag);
 
-  /// Event-driven mode: tick_core_cycle() consults the controller's
-  /// memoized next-event query and elides memory ticks that are provable
-  /// no-ops (identical results, O(1) instead of a queue scan). Off by
-  /// default so the plain path stays the bit-exact reference
-  /// implementation the determinism tests compare against.
+  /// Event-driven mode: tick_core_cycle() reads the controller's
+  /// next-event bound and elides memory ticks that are provable no-ops
+  /// (identical results). Off by default so the plain path stays the
+  /// bit-exact reference implementation the determinism tests compare
+  /// against.
   void set_event_driven(bool on) { event_driven_ = on; }
 
   /// Advances one core cycle; may advance zero or more memory cycles.
@@ -75,8 +75,7 @@ class DramSystem {
   bool can_accept_write() const { return controller_.can_accept_write(); }
 
   /// Checkpoint hooks: controller state + both clock domains (including
-  /// the rational accumulator), the event-gate backoff, and the
-  /// core-domain completion buffer.
+  /// the rational accumulator) and the core-domain completion buffer.
   void save(serial::Sink& s) const;
   void load(serial::Source& s);
 
@@ -106,16 +105,6 @@ class DramSystem {
  private:
   Controller controller_;
   bool event_driven_ = false;
-  /// Saturation backoff for the event gate (see tick_core_cycle). The
-  /// burst doubles (up to the cap) each time a full burst ends and the
-  /// controller is still issuing every cycle, so sustained saturation
-  /// spends a vanishing fraction of ticks on next-event queries; any
-  /// "future event" answer resets the length.
-  static constexpr unsigned kGateBurst = 16;
-  static constexpr unsigned kGateBurstCap = 256;
-  unsigned gate_streak_ = 0;
-  unsigned gate_burst_ = 0;
-  unsigned gate_burst_len_ = kGateBurst;
   Cycle core_cycle_ = 0;
   Cycle mem_cycle_ = 0;
   // mem_cycles owed = core_cycle * mem_mhz / core_mhz, tracked exactly with

@@ -92,7 +92,7 @@ namespace checkpoint {
 
 inline constexpr std::uint8_t kMagic[8] = {'S', 'E', 'C', 'D',
                                            'D', 'R', 'C', 'K'};
-inline constexpr std::uint32_t kVersion = 2;
+inline constexpr std::uint32_t kVersion = 3;
 inline constexpr std::size_t kHeaderBytes = 32;
 inline constexpr std::size_t kBlockHeaderBytes = 12;
 inline constexpr std::size_t kFooterTotalBytes = 8;

@@ -160,14 +160,14 @@ TEST(ThermalModel, RcStepMatchesClosedFormExponential) {
     node.apply_window(e_fj);
     t_model = amb_c + alpha_node * (t_model - amb_c) +
               p_w * r_kw * (1.0 - alpha_node);
-    // Compare in Q16 (the trajectory's native grid): temp_mc() would add
+    // Compare in Q32 (the trajectory's native grid): temp_mc() would add
     // a milli-degree conversion floor on top.
-    const double t_node = static_cast<double>(node.temp_q16()) / 65536.0;
+    const double t_node = static_cast<double>(node.temp_q32()) / 4294967296.0;
     const double t_cont =
         amb_c + p_w * r_kw * (1.0 - std::pow(alpha_cont, n));
-    // The decay and injection terms each floor once per window, so the
-    // fixed-point trajectory sits at most ~2.5 Q16 ulps/window (4e-5 C)
-    // below the exact recurrence, linearly in n until equilibrium.
+    // The same envelope the earlier floored Q16 node met (~2.5 Q16
+    // ulps/window below the exact recurrence); the rounded Q32 node sits
+    // far inside it.
     const double trunc = 0.0005 + 4e-5 * n;
     EXPECT_NEAR(t_node, t_model, trunc) << "window " << n;
     EXPECT_NEAR(t_node - amb_c, t_cont - amb_c,
@@ -175,10 +175,9 @@ TEST(ThermalModel, RcStepMatchesClosedFormExponential) {
         << "window " << n;
   }
   // Steady state: T -> amb + P * R. tau/dt = 625 windows, so run to
-  // ~13 tau (analytic residual < 1e-5 C); the remaining gap is the
-  // truncation bias, bounded by ~2 ulps / (1 - alpha) ~ 0.02 C here.
+  // ~13 tau (analytic residual < 1e-5 C).
   for (int n = 0; n < 8000; ++n) node.apply_window(e_fj);
-  EXPECT_NEAR(static_cast<double>(node.temp_q16()) / 65536.0,
+  EXPECT_NEAR(static_cast<double>(node.temp_q32()) / 4294967296.0,
               amb_c + p_w * r_kw, 0.03);
   EXPECT_EQ(node.peak_mc(), node.temp_mc()) << "monotone rise: peak = last";
 }
@@ -193,9 +192,34 @@ TEST(ThermalModel, TemperatureIsMonotoneInInjectedEnergy) {
     const std::uint64_t extra = rng.next() % 1'000'000'000;
     cool.apply_window(e);
     warm.apply_window(e + extra);
-    ASSERT_LE(cool.temp_q16(), warm.temp_q16()) << "window " << n;
-    ASSERT_GE(cool.temp_q16(), analysis::ThermalNode::mc_to_q16(
+    ASSERT_LE(cool.temp_q32(), warm.temp_q32()) << "window " << n;
+    ASSERT_GE(cool.temp_q32(), analysis::ThermalNode::mc_to_q32(
                                    tp.ambient_mc));
+  }
+}
+
+TEST(ThermalModel, DefaultConstantsSettleAtAmbientPlusPowerTimesR) {
+  // The shipped constants (R = 4 K/W, C = 0.1 J/K, tau = 0.4 s) with
+  // 1024-cycle DDR4-3200 windows (640 ns): each window moves the node by
+  // about P * R * dt / tau, a few micro-degrees. Constant power per rank
+  // must settle at the closed form amb + P * R; run 12 tau, leaving an
+  // analytic residual under 1e-3 C even at 20 W.
+  const analysis::ThermalParams tp;  // defaults
+  const std::uint64_t window = 1024, period_fs = 625'000;
+  const double dt_s = static_cast<double>(window * period_fs) * 1e-15;
+  const double r_kw = tp.r_mk_per_w / 1000.0;
+  const double tau_s = r_kw * static_cast<double>(tp.c_nj_per_k) * 1e-9;
+  const double amb_c = static_cast<double>(tp.ambient_mc) / 1000.0;
+  const auto windows = static_cast<std::uint64_t>(12.0 * tau_s / dt_s);
+  for (const double p_w : {0.5, 2.0, 4.0, 20.0}) {
+    SCOPED_TRACE(p_w);
+    analysis::ThermalNode node(tp, window, period_fs);
+    const auto e_fj = static_cast<std::uint64_t>(p_w * dt_s * 1e15 + 0.5);
+    for (std::uint64_t n = 0; n < windows; ++n) node.apply_window(e_fj);
+    EXPECT_NEAR(static_cast<double>(node.temp_mc()) / 1000.0,
+                amb_c + p_w * r_kw, 0.01);
+    EXPECT_NEAR(static_cast<double>(node.peak_mc()) / 1000.0,
+                amb_c + p_w * r_kw, 0.01);
   }
 }
 
